@@ -25,7 +25,7 @@ BENCHJSON_FORCE = $(if $(FORCE_BENCH),-force,)
 
 .PHONY: all build vet lint lint-bench test race race-all bench bench-full \
         bench-json quant-gate alloc serve-smoke serve-faults reload-smoke \
-        cluster-smoke scenario-gate ci
+        cluster-smoke scenario-gate perfbench perfbench-test ci
 
 all: build
 
@@ -58,8 +58,12 @@ lint-bench:
 test:
 	$(GO) test ./...
 
+# race also repeats the batcher's parity test ten times: a flush scores its
+# engines on parallel workers, and repetition widens the interleavings the
+# detector sees.
 race:
 	$(GO) test -race -count=1 $(PARALLEL_PKGS)
+	$(GO) test -race -count=10 -run '^TestBatcherParityWithDirectScore$$' ./internal/server
 
 race-all:
 	$(GO) test -race -count=1 ./...
@@ -147,4 +151,14 @@ scenario-gate:
 	SCENARIO_BENCH_JSON=$(SCENARIO_BENCH_JSON) FORCE_BENCH=$(FORCE_BENCH) \
 		sh scripts/scenario_gate.sh
 
-ci: build vet lint lint-bench test race alloc bench quant-gate serve-smoke serve-faults reload-smoke cluster-smoke scenario-gate
+# perfbench is the repository benchmark (perfbench/README.md): every
+# workload untraced, then traced, on loopback servers in one process.
+# Expect several minutes; it writes only under .bench_build/.
+perfbench:
+	python3 perfbench/run.py --workload all
+
+# perfbench-test runs the benchmark's own unit tests (a separate module).
+perfbench-test:
+	cd perfbench && $(GO) test .
+
+ci: build vet lint lint-bench test race alloc bench quant-gate serve-smoke serve-faults reload-smoke cluster-smoke scenario-gate perfbench-test

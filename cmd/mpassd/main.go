@@ -63,7 +63,7 @@ func main() {
 	maxQueries := flag.Int("max-queries", 100, "per-job oracle query budget")
 
 	maxBatch := flag.Int("max-batch", 32, "max scans per coalesced batch")
-	window := flag.Duration("batch-window", 2*time.Millisecond, "batching window after the first request")
+	window := flag.Duration("batch-window", 2*time.Millisecond, "how long a batch of attack-oracle queries waits for more (interactive scans flush once the queue is drained)")
 	scanQueue := flag.Int("scan-queue", 256, "scan admission queue; full sheds with 429")
 	cacheSize := flag.Int("cache", 4096, "score-cache entries (0 disables)")
 	attackWorkers := flag.Int("attack-workers", 2, "concurrent attack jobs")

@@ -603,6 +603,32 @@ func TestGatewayClusterBackpressure(t *testing.T) {
 	}
 }
 
+// TestGatewayRetryAfter tables the cluster shed hint at its cold-start and
+// zero-backlog edges: nothing routed yet, or an uptime that a clock step
+// made negative, answers the floor hint of 1, and an empty backlog still
+// waits out one completion at the observed rate.
+func TestGatewayRetryAfter(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		up        time.Duration
+		backlog   int
+		completed int64
+		want      string
+	}{
+		{"cold start: nothing routed", 10 * time.Second, 100, 0, "1"},
+		{"cold start: negative uptime (clock step)", -time.Minute, 100, 50, "1"},
+		{"zero backlog, fast fleet", 10 * time.Second, 0, 1000, "1"},
+		{"zero backlog, slow fleet", 10 * time.Second, 0, 3, "4"},     // 1 / 0.3 = 3.3 -> 4
+		{"steady state", 10 * time.Second, 1, 3, "7"},                 // 2 / 0.3 = 6.7 -> 7
+		{"above the ceiling clamps", 10 * time.Second, 1000, 1, "60"}, // 1001 / 0.1
+	} {
+		g := &Gateway{started: time.Now().Add(-tc.up)}
+		if got := g.retryAfter(tc.backlog, tc.completed); got != tc.want {
+			t.Errorf("%s: retryAfter(%d, %d) = %q, want %q", tc.name, tc.backlog, tc.completed, got, tc.want)
+		}
+	}
+}
+
 // TestGatewayLeastLoadedPlacement uses fake replicas with asymmetric
 // probed load: attack submits must land on the idle one.
 func TestGatewayLeastLoadedPlacement(t *testing.T) {

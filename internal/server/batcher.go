@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mpass/internal/detect"
+	"mpass/internal/parallel"
 )
 
 // Batcher is the micro-batching dispatcher: concurrent scan requests are
@@ -14,16 +15,21 @@ import (
 // lookup-table fast path's per-batch costs (table fetch, worker fan-out)
 // amortize across requests instead of being paid once per HTTP call.
 //
-// A single dispatcher goroutine alternates between collecting a batch —
-// until MaxBatch requests are in hand or Window has passed since the first
-// — and flushing it. While a flush is scoring, new arrivals queue in the
-// submission channel, which is what builds the next coalesced batch under
-// load. The channel is bounded: when it is full, Score fails fast with
-// ErrOverloaded and the HTTP layer sheds the request with a 429.
+// A single dispatcher goroutine alternates between collecting a batch and
+// flushing it. Collecting drains whatever is already queued without
+// blocking. A batch holding an interactive scan (Score) then flushes at
+// once; a batch of attack-oracle queries only (ScoreWait) keeps collecting
+// until MaxBatch requests are in hand or Window has passed, and an
+// interactive arrival cuts that window short. While a flush is scoring, new
+// arrivals queue in the submission channel, which is what builds the next
+// coalesced batch under load. The channel is bounded: when it is full, Score
+// fails fast with ErrOverloaded and the HTTP layer sheds the request with a
+// 429.
 //
-// Scores are bit-identical to calling Detector.Score per sample: the
-// dispatcher only regroups inputs, and the ScoreBatch implementations carry
-// the repo-wide batch-equals-single parity guarantee.
+// A flush scores the set's detectors concurrently, one worker per detector
+// up to GOMAXPROCS. Scores are bit-identical to calling Detector.Score per sample:
+// the dispatcher only regroups inputs, and the ScoreBatch implementations
+// carry the repo-wide batch-equals-single parity guarantee.
 type Batcher struct {
 	// src resolves the model set to score with; the dispatcher loads it once
 	// per flush, so every request coalesced into one batch is scored and
@@ -51,8 +57,9 @@ type scanOut struct {
 }
 
 type scanReq struct {
-	raw []byte
-	out chan scanOut // buffered; the dispatcher never blocks on delivery
+	raw    []byte
+	oracle bool         // submitted by ScoreWait: may wait out the window
+	out    chan scanOut // buffered; the dispatcher never blocks on delivery
 }
 
 // Batcher errors surfaced to the HTTP layer.
@@ -70,8 +77,8 @@ func newBatcher(dets []detect.Detector, maxBatch, queue int, window time.Duratio
 }
 
 // newBatcherSrc starts the dispatcher over a model-set source. maxBatch and
-// queue have sane minimums; window <= 0 flushes as soon as the channel runs
-// dry (pure opportunistic coalescing).
+// queue have sane minimums. window paces oracle-only batches; window <= 0
+// flushes them, like interactive ones, as soon as the channel runs dry.
 func newBatcherSrc(src func() *modelSet, maxBatch, queue int, window time.Duration, m *Metrics) *Batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
@@ -121,9 +128,11 @@ func (b *Batcher) Score(ctx context.Context, raw []byte) (scanOut, error) {
 // ScoreWait is Score with backpressure instead of shedding: when the queue
 // is full it blocks until there is room (or ctx expires). Resident attack
 // jobs use it for their oracle queries — a job that has already been
-// admitted should slow down under load, not lose a query mid-attack.
+// admitted should slow down under load, not lose a query mid-attack. A batch
+// of these queries alone waits out the batch window, so oracle traffic
+// coalesces and yields the CPU to interactive scans.
 func (b *Batcher) ScoreWait(ctx context.Context, raw []byte) (scanOut, error) {
-	req := &scanReq{raw: raw, out: make(chan scanOut, 1)}
+	req := &scanReq{raw: raw, oracle: true, out: make(chan scanOut, 1)}
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
@@ -168,36 +177,43 @@ func (b *Batcher) loop() {
 		if !ok {
 			return
 		}
-		batch = append(batch[:0], first)
-		if b.window > 0 {
-			timer := time.NewTimer(b.window)
-		collect:
-			for len(batch) < b.max {
-				select {
-				case r, open := <-b.reqs:
-					if !open {
-						break collect
-					}
-					batch = append(batch, r)
-				case <-timer.C:
-					break collect
-				}
+		b.flush(b.collect(append(batch[:0], first)))
+	}
+}
+
+// collect fills batch behind its first request. It takes whatever is
+// already queued without blocking; once the queue is dry, a batch holding an
+// interactive scan is done. A batch of oracle queries only blocks for more
+// until window has passed, and an interactive arrival ends that wait.
+func (b *Batcher) collect(batch []*scanReq) []*scanReq {
+	interactive := !batch[0].oracle
+	var timer *time.Timer
+	for len(batch) < b.max {
+		var r *scanReq
+		var open bool
+		select {
+		case r, open = <-b.reqs:
+		default:
+			if interactive || b.window <= 0 {
+				return batch
 			}
-			timer.Stop()
-		} else {
-			for len(batch) < b.max {
-				r, open := <-b.reqs
-				if !open {
-					break
-				}
-				batch = append(batch, r)
-				if len(b.reqs) == 0 {
-					break
-				}
+			if timer == nil {
+				timer = time.NewTimer(b.window)
+				defer timer.Stop()
+			}
+			select {
+			case r, open = <-b.reqs:
+			case <-timer.C:
+				return batch
 			}
 		}
-		b.flush(batch)
+		if !open {
+			return batch
+		}
+		batch = append(batch, r)
+		interactive = interactive || !r.oracle
 	}
+	return batch
 }
 
 // flush scores one coalesced batch and fans results back out.
@@ -220,7 +236,10 @@ func (b *Batcher) flush(batch []*scanReq) {
 			set:    set,
 		}
 	}
-	for di, d := range set.dets {
+	// Detectors score concurrently; each worker writes only column di of
+	// outs, and ForEach hands detectors out in set order.
+	parallel.ForEach(0, len(set.dets), func(di int) {
+		d := set.dets[di]
 		scores := detect.ScoreAll(d, raws, 0)
 		var labels []bool
 		if th, ok := d.(detect.Thresholder); ok {
@@ -236,7 +255,7 @@ func (b *Batcher) flush(batch []*scanReq) {
 			outs[i].Scores[di] = scores[i]
 			outs[i].Labels[di] = labels[i]
 		}
-	}
+	})
 	for i, r := range batch {
 		// Each request's out channel is buffered (cap 1) and written exactly
 		// once, so this delivery can never block the dispatcher — even when

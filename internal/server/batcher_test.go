@@ -70,13 +70,28 @@ func randomRaws(seed int64, n, maxLen int) [][]byte {
 	return raws
 }
 
+// plainDetector has a hard label that is not score >= threshold and no
+// DecisionThreshold, so the dispatcher must label it with LabelAll rather
+// than derive labels from scores.
+type plainDetector struct{ inner stubDetector }
+
+func (d *plainDetector) Name() string { return "plain" }
+
+func (d *plainDetector) Score(raw []byte) float64 { return d.inner.Score(raw) }
+
+func (d *plainDetector) Label(raw []byte) bool { return len(raw)%2 == 0 }
+
 // TestBatcherParityWithDirectScore is the acceptance gate: scores served
 // through the micro-batching path are bit-identical to direct
-// Detector.Score calls on the same bytes.
+// Detector.Score calls on the same bytes. The set mixes Thresholder and
+// non-Thresholder detectors, the callers mix interactive and oracle
+// submissions, and the detectors of each flush score in parallel.
 func TestBatcherParityWithDirectScore(t *testing.T) {
 	dets := []detect.Detector{
 		convDetector(t, "MalConvA", 1),
+		&plainDetector{stubDetector{name: "plain"}},
 		convDetector(t, "MalConvB", 2),
+		&stubDetector{name: "stub", thr: 0.3},
 	}
 	var m Metrics
 	b := newBatcher(dets, 8, 64, time.Millisecond, &m)
@@ -89,7 +104,11 @@ func TestBatcherParityWithDirectScore(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out, err := b.Score(context.Background(), raws[i])
+			score := b.Score
+			if i%3 == 0 {
+				score = b.ScoreWait
+			}
+			out, err := score(context.Background(), raws[i])
 			if err != nil {
 				t.Errorf("Score(%d): %v", i, err)
 				return
@@ -107,6 +126,79 @@ func TestBatcherParityWithDirectScore(t *testing.T) {
 			if got, want := outs[i].Labels[di], d.Label(raw); got != want {
 				t.Fatalf("sample %d model %s: batched label %v != direct %v", i, d.Name(), got, want)
 			}
+		}
+	}
+}
+
+// TestBatcherInteractiveSkipsWindow: an interactive scan on an idle batcher
+// flushes as soon as the queue is drained, alone, however long the window.
+func TestBatcherInteractiveSkipsWindow(t *testing.T) {
+	var m Metrics
+	b := newBatcher([]detect.Detector{&stubDetector{name: "stub", thr: 0.5}}, 8, 16, time.Hour, &m)
+	defer b.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := b.Score(ctx, []byte("lone scan")); err != nil {
+		t.Fatalf("lone Score with an hour window: %v", err)
+	}
+	if got := m.Batches.Load(); got != 1 {
+		t.Fatalf("Batches = %d, want 1", got)
+	}
+	if got := m.BatchedRaws.Load(); got != 1 {
+		t.Fatalf("BatchedRaws = %d, want 1", got)
+	}
+}
+
+// TestBatcherOracleWaitsForWindow: a lone oracle query waits out the
+// window, and the next interactive scan cuts the wait short and flushes
+// with it as one batch of two.
+func TestBatcherOracleWaitsForWindow(t *testing.T) {
+	var m Metrics
+	b := newBatcher([]detect.Detector{&stubDetector{name: "stub", thr: 0.5}}, 8, 16, time.Hour, &m)
+	defer b.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	oracleDone := make(chan error, 1)
+	go func() {
+		_, err := b.ScoreWait(ctx, []byte("oracle query"))
+		oracleDone <- err
+	}()
+	select {
+	case err := <-oracleDone:
+		t.Fatalf("lone ScoreWait returned (%v) inside an hour window", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if got := m.Batches.Load(); got != 0 {
+		t.Fatalf("Batches = %d while the oracle query waits, want 0", got)
+	}
+
+	if _, err := b.Score(ctx, []byte("interactive scan")); err != nil {
+		t.Fatalf("Score: %v", err)
+	}
+	if err := <-oracleDone; err != nil {
+		t.Fatalf("ScoreWait: %v", err)
+	}
+	if got := m.Batches.Load(); got != 1 {
+		t.Fatalf("Batches = %d, want 1", got)
+	}
+	if got := m.BatchedRaws.Load(); got != 2 {
+		t.Fatalf("BatchedRaws = %d, want 2", got)
+	}
+}
+
+// TestBatcherZeroWindowLoneRequest: with no window a lone request flushes
+// once the queue is drained instead of blocking for a second arrival.
+func TestBatcherZeroWindowLoneRequest(t *testing.T) {
+	dets := []detect.Detector{&stubDetector{name: "stub", thr: 0.5}}
+	b := newBatcher(dets, 8, 16, 0, nil)
+	defer b.Close()
+	for _, score := range []func(context.Context, []byte) (scanOut, error){b.Score, b.ScoreWait} {
+		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+		_, err := score(ctx, []byte("lone"))
+		cancel()
+		if err != nil {
+			t.Fatalf("lone request with a zero window: %v", err)
 		}
 	}
 }

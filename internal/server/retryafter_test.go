@@ -30,8 +30,8 @@ func TestRetryAfterSecs(t *testing.T) {
 		{"above the ceiling clamps", 1000, 1, 100, 60},
 		{"huge backlog, tiny rate", 1 << 30, 1, 3600, 60},
 	} {
-		if got := retryAfterSecs(tc.backlog, tc.completed, tc.upSeconds); got != tc.want {
-			t.Errorf("%s: retryAfterSecs(%d, %d, %v) = %d, want %d",
+		if got := RetryAfterSecs(tc.backlog, tc.completed, tc.upSeconds); got != tc.want {
+			t.Errorf("%s: RetryAfterSecs(%d, %d, %v) = %d, want %d",
 				tc.name, tc.backlog, tc.completed, tc.upSeconds, got, tc.want)
 		}
 	}

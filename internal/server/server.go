@@ -108,8 +108,15 @@ type Config struct {
 	// own content-addressed version, which must move on reload.
 	ModelVersion string
 
+	// Batching. An interactive scan flushes as soon as the queue is drained,
+	// and a flush scores its engines in parallel. BatchWindow paces only
+	// batches of attack-oracle queries: such a batch waits up to BatchWindow
+	// for more (default 2ms; negative flushes it once drained too), so oracle
+	// traffic coalesces and yields the CPU to scans. Holding lone scans for
+	// the window cost a cold scan ~2.5ms of its ~5.9ms median for batches
+	// averaging 1.2 requests (EXPERIMENTS.md).
 	MaxBatch    int           // max requests per coalesced batch (default 32)
-	BatchWindow time.Duration // flush window after the first request (default 2ms)
+	BatchWindow time.Duration // oracle-only batch window (default 2ms)
 	ScanQueue   int           // scan admission queue; full = 429 (default 256)
 	CacheSize   int           // LRU score-cache entries; 0 disables (default 4096)
 
@@ -537,18 +544,18 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 // the current backlog divided by the observed completion rate, clamped to
 // [1, 60] seconds.
 func (s *Server) retryAfter(backlog int, completed int64) string {
-	return strconv.Itoa(retryAfterSecs(backlog, completed, time.Since(s.started).Seconds()))
+	return strconv.Itoa(RetryAfterSecs(backlog, completed, time.Since(s.started).Seconds()))
 }
 
-// retryAfterSecs is the pure drain-rate estimator behind every Retry-After
-// hint. The cold-start guard comes first: before any completion has been
+// RetryAfterSecs is the pure drain-rate estimator behind every Retry-After
+// hint, on a replica and on the gateway in front of a fleet. The cold-start guard comes first: before any completion has been
 // observed (or with a non-positive uptime, as on a clock step) there is no
 // rate to divide by, so the answer is the minimum legal hint of 1 rather
 // than a division by zero. The clamp then bounds the estimate to [1, 60],
 // which also absorbs a zero backlog (ceil(1/rate) can round to 1 but the
 // clamp makes the floor unconditional) and any float oddity the division
 // could produce.
-func retryAfterSecs(backlog int, completed int64, upSeconds float64) int {
+func RetryAfterSecs(backlog int, completed int64, upSeconds float64) int {
 	if upSeconds <= 0 || completed <= 0 {
 		return 1
 	}
