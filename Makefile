@@ -122,9 +122,9 @@ reload-smoke:
 		$(BENCHJSON_FORCE) -out $(RELOAD_BENCH_JSON)
 
 # cluster-smoke boots 3 mpassd replicas behind mpass-gateway (one training
-# run, shared models.gob), compares a single-replica burst against the same
-# burst through the gateway (host-aware speedup gate — 2.5x on >= 4 CPUs,
-# a sanity bound on smaller hosts), enforces the shard-affinity checks
+# run, one shared models/ envelope directory), compares a single-replica
+# burst against the same burst through the gateway (host-aware speedup
+# gate — 2.5x on >= 4 CPUs, a sanity bound on smaller hosts), enforces the shard-affinity checks
 # (per-replica cache-hit ratio >= 0.9, misses near the distinct-sample
 # count), and runs a replica kill drill: SIGKILL one replica and require
 # zero failed scans while the ring re-shards. Writes $(CLUSTER_BENCH_JSON)

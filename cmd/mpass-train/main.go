@@ -5,11 +5,11 @@
 //
 // Experiment binaries retrain deterministically from the seed, so they never
 // read stale models; the serving daemon is the exception — it wants a warm
-// start, so `-out models.gob` persists the offline suite for
-// `mpassd -models models.gob` to load in milliseconds. `-out-dir` writes the
-// same models as per-engine versioned envelopes (one file per detector, each
-// carrying a content-addressed version), the format the hot-reload endpoint
-// swaps in without a restart.
+// start, so `-out-dir models/` writes the offline suite as per-engine
+// versioned envelopes (one file per detector, each carrying a
+// content-addressed version) for `mpassd -models models/` to load in
+// milliseconds and for the hot-reload endpoint to swap in without a
+// restart.
 package main
 
 import (
@@ -31,8 +31,7 @@ func main() {
 	nMal := flag.Int("malware", 60, "malware samples in the corpus")
 	nBen := flag.Int("benign", 60, "benign samples in the corpus")
 	workers := flag.Int("workers", 0, "worker-pool size for concurrent training (0 = GOMAXPROCS)")
-	out := flag.String("out", "", "write the trained offline suite (gob) here for mpassd -models")
-	outDir := flag.String("out-dir", "", "write per-engine versioned envelopes here (one .engine.gob per detector) for mpassd -models / hot reload")
+	outDir := flag.String("out-dir", "", "write the offline suite here as per-engine versioned envelopes (one .engine.gob per detector) for mpassd -models / hot reload")
 	flag.Parse()
 	if *workers < 0 {
 		log.Fatalf("workers must be >= 0 (0 = GOMAXPROCS), got %d", *workers)
@@ -49,12 +48,6 @@ func main() {
 	suite, err := detect.TrainSuite(ds, cfg)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *out != "" {
-		if err := detect.SaveSuiteFile(*out, suite); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("saved offline suite to %s\n", *out)
 	}
 	if *outDir != "" {
 		set, err := engine.FromSuite(suite)

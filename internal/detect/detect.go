@@ -78,17 +78,12 @@ func LabelAll(d Detector, raws [][]byte, workers int) []bool {
 }
 
 // Thresholder is implemented by detectors whose hard label is exactly
-// score >= threshold. Callers that already hold scores (the serving layer's
-// batching dispatcher) derive labels without scoring twice.
+// score >= threshold. The serving layer reads engine.Driver.Threshold
+// instead; this interface remains because the benchmark harness
+// (perfbench) compiles against it.
 type Thresholder interface {
 	DecisionThreshold() float64
 }
-
-// DecisionThreshold implements Thresholder.
-func (d *ConvDetector) DecisionThreshold() float64 { return d.Threshold }
-
-// DecisionThreshold implements Thresholder.
-func (d *GBDTDetector) DecisionThreshold() float64 { return d.Threshold }
 
 func labelsFromScores(scores []float64, thr float64) []bool {
 	labels := make([]bool, len(scores))

@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"bytes"
 	"testing"
 
 	"mpass/internal/nn"
@@ -104,83 +103,5 @@ func TestQuantParityOnEvalCorpus(t *testing.T) {
 				t.Errorf("%s mode %v: %d label flips, want 0", d.Name(), mode, flips)
 			}
 		}
-	}
-}
-
-// TestSuiteQuantGobRoundTrip: quantized tables are runtime-only. A suite
-// saved while serving fixed-point must load cleanly, score bit-identically
-// to the float64 source, and — once the mode is re-applied — rebuild quant
-// tables from the loaded weights that agree with the source's.
-func TestSuiteQuantGobRoundTrip(t *testing.T) {
-	s := trainedSuite(t)
-	defer s.SetQuantMode(nn.QuantOff)
-	raws := rawsOf(dataset(t).Test)
-	if len(raws) > 8 {
-		raws = raws[:8]
-	}
-
-	s.SetQuantMode(nn.QuantInt32)
-	var buf bytes.Buffer
-	if err := SaveSuite(&buf, s); err != nil {
-		t.Fatalf("SaveSuite with quant enabled: %v", err)
-	}
-	quantScores := ScoreAll(s.MalConv, raws, 0)
-	s.SetQuantMode(nn.QuantOff)
-	floatScores := ScoreAll(s.MalConv, raws, 0)
-
-	loaded, err := LoadSuite(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("LoadSuite: %v", err)
-	}
-	// Fresh load defaults to the float64 reference path: no stale quant
-	// image may ride along in the gob stream.
-	for j, raw := range raws {
-		if got := loaded.MalConv.Score(raw); got != floatScores[j] {
-			t.Fatalf("sample %d: loaded float score %v != source %v", j, got, floatScores[j])
-		}
-	}
-	loaded.SetQuantMode(nn.QuantInt32)
-	for j, raw := range raws {
-		if got := loaded.MalConv.Score(raw); got != quantScores[j] {
-			t.Fatalf("sample %d: loaded quant score %v != source quant %v", j, got, quantScores[j])
-		}
-	}
-}
-
-// TestLoadSuiteTruncatedStream: a gob envelope cut off at any point must
-// fail loudly, never yield a partially-initialized suite.
-func TestLoadSuiteTruncatedStream(t *testing.T) {
-	s := trainedSuite(t)
-	var buf bytes.Buffer
-	if err := SaveSuite(&buf, s); err != nil {
-		t.Fatalf("SaveSuite: %v", err)
-	}
-	full := buf.Bytes()
-	for _, frac := range []float64{0, 0.1, 0.5, 0.9, 0.999} {
-		n := int(frac * float64(len(full)))
-		if _, err := LoadSuite(bytes.NewReader(full[:n])); err == nil {
-			t.Errorf("LoadSuite accepted a stream truncated to %d/%d bytes", n, len(full))
-		}
-	}
-}
-
-// TestLoadSuiteCorruptMagic: flipping the envelope magic must be rejected
-// as "not a model file", whether the corruption lands in the magic string
-// or the surrounding gob framing.
-func TestLoadSuiteCorruptMagic(t *testing.T) {
-	s := trainedSuite(t)
-	var buf bytes.Buffer
-	if err := SaveSuite(&buf, s); err != nil {
-		t.Fatalf("SaveSuite: %v", err)
-	}
-	full := buf.Bytes()
-	i := bytes.Index(full, []byte(suiteMagic))
-	if i < 0 {
-		t.Fatal("magic string not found in encoded stream")
-	}
-	corrupt := append([]byte(nil), full...)
-	corrupt[i] ^= 0xFF
-	if _, err := LoadSuite(bytes.NewReader(corrupt)); err == nil {
-		t.Error("LoadSuite accepted a stream with corrupted magic")
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // Driver implementations for every model family in the repo. The conv and
 // tree drivers embed their detect counterparts, so the full capability
-// surface (BatchScorer, Thresholder, Streamer, GradientModel, Quantizer)
+// surface (BatchScorer, Streamer, GradientModel, Quantizer)
 // promotes through and the probes find it without unwrapping; versions are
 // content digests of the serialized weights, computed once at construction.
 
@@ -159,9 +159,6 @@ func (d *AVDriver) ScoreBatch(raws [][]byte) []float64 {
 // Threshold implements Driver.
 func (d *AVDriver) Threshold() float64 { return 0.5 }
 
-// DecisionThreshold implements detect.Thresholder.
-func (d *AVDriver) DecisionThreshold() float64 { return 0.5 }
-
 // Version implements Driver.
 func (d *AVDriver) Version() string { return d.version }
 
@@ -177,53 +174,9 @@ func (d *AVDriver) Health() error {
 // there).
 func (d *AVDriver) AV() *av.AV { return d.av }
 
-// detectorDriver adapts any detect.Detector into a Driver — the
-// compatibility wrapper for detectors that predate the driver layer (test
-// stubs, external models).
-type detectorDriver struct {
-	detect.Detector
-	version string
-}
-
-// WrapDetector adapts d into a Driver under the given version label (empty
-// derives a stable "wrapped-<name>" tag). Capabilities of the underlying
-// detector stay discoverable through the probes via Unwrap.
-func WrapDetector(d detect.Detector, version string) (Driver, error) {
-	if d == nil {
-		return nil, fmt.Errorf("engine: nil detector")
-	}
-	if version == "" {
-		version = "wrapped-" + d.Name()
-	}
-	return &detectorDriver{Detector: d, version: version}, nil
-}
-
-// ScoreBatch implements Driver through the detect batched-or-parallel path.
-func (d *detectorDriver) ScoreBatch(raws [][]byte) []float64 {
-	return detect.ScoreAll(d.Detector, raws, 0)
-}
-
-// Threshold implements Driver: the detector's own decision threshold when it
-// has one, else the conventional 0.5.
-func (d *detectorDriver) Threshold() float64 {
-	if th, ok := d.Detector.(detect.Thresholder); ok {
-		return th.DecisionThreshold()
-	}
-	return 0.5
-}
-
-// Version implements Driver.
-func (d *detectorDriver) Version() string { return d.version }
-
-// Health implements Driver.
-func (d *detectorDriver) Health() error { return nil }
-
-// Unwrap implements Unwrapper.
-func (d *detectorDriver) Unwrap() detect.Detector { return d.Detector }
-
 // FromSuite wraps the trained offline suite into a driver Set, preserving
-// the paper's §IV-A order. This is the bridge from the legacy monolithic
-// models.gob to the per-engine world: load the suite, wrap it, serve it.
+// the paper's §IV-A order: the bridge from the training harness to the
+// registry and to per-engine envelopes.
 func FromSuite(s *detect.Suite) (*Set, error) {
 	if s == nil {
 		return nil, fmt.Errorf("engine: nil suite")

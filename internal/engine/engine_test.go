@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"mpass/internal/av"
 	"mpass/internal/corpus"
 	"mpass/internal/detect"
 )
@@ -44,6 +45,34 @@ func fixtures(t *testing.T) (*detect.Suite, *RNNDetector, [][]byte) {
 		t.Fatalf("building fixtures: %v", fixErr)
 	}
 	return fixSuite, fixRNN, fixRaws
+}
+
+// AV fixture: one small commercial-AV simulator, the runtime-only driver
+// kind, trained only by the tests that need it.
+var (
+	avOnce sync.Once
+	fixAV  *AVDriver
+	avErr  error
+)
+
+func avFixture(t *testing.T) *AVDriver {
+	t.Helper()
+	avOnce.Do(func() {
+		cfg := detect.DefaultTrainConfig()
+		cfg.Epochs = 4
+		avs, err := av.NewSuite(corpus.MakeDataset(7, 16, 16, 0.75), av.SuiteConfig{
+			Train: cfg, Seed: 9000, VendorMalware: 16, VendorBenign: 16,
+		})
+		if err != nil {
+			avErr = err
+			return
+		}
+		fixAV, avErr = NewAVDriver(avs[0], "")
+	})
+	if avErr != nil {
+		t.Fatalf("building AV fixture: %v", avErr)
+	}
+	return fixAV
 }
 
 // fullSet is the suite plus the RNN engine — every persistable driver kind.
@@ -154,10 +183,6 @@ func TestSetLookups(t *testing.T) {
 	if i, ok := s.Index("B"); !ok || i != 1 {
 		t.Fatalf("Index(B) = %d, %v", i, ok)
 	}
-	dets := s.Detectors()
-	if len(dets) != 2 || dets[0].Name() != "A" {
-		t.Fatalf("Detectors() = %v", dets)
-	}
 }
 
 // TestRegistrySwapIsolation: a reader that loaded the old generation keeps a
@@ -248,18 +273,24 @@ func TestGradientModelsMatchSuiteKnownFor(t *testing.T) {
 	}
 }
 
-// TestCapabilityProbesLookThroughWrappers: a detect.Detector adapted via
-// WrapDetector keeps its streaming/gradient/quantization capabilities
-// discoverable through Unwrap.
+// decorator wraps a Driver the way instrumentation does: only the Driver
+// methods promote, so capabilities are reachable solely through Unwrap.
+type decorator struct {
+	Driver
+	inner detect.Detector
+}
+
+func (d *decorator) Unwrap() detect.Detector { return d.inner }
+
+// TestCapabilityProbesLookThroughWrappers: a decorated driver keeps its
+// streaming/gradient/quantization capabilities discoverable through Unwrap.
 func TestCapabilityProbesLookThroughWrappers(t *testing.T) {
 	suite, rnn, _ := fixtures(t)
-	wrapped, err := WrapDetector(suite.MalConv, "")
+	conv, err := NewConvDriver(suite.MalConv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wrapped.Version() != "wrapped-MalConv" {
-		t.Fatalf("wrapped version = %s", wrapped.Version())
-	}
+	wrapped := &decorator{Driver: conv, inner: suite.MalConv}
 	if _, ok := StreamerOf(wrapped); !ok {
 		t.Fatal("streamer capability lost through the wrapper")
 	}
@@ -323,6 +354,32 @@ func TestFromSuitePreservesPaperOrder(t *testing.T) {
 	}
 	if set.Drivers()[2].Threshold() != suite.LGBM.Threshold {
 		t.Fatal("LightGBM threshold lost in the bridge")
+	}
+}
+
+// TestDriverContract pins what the batcher relies on, for every driver
+// kind (conv, gbdt, rnn, AV): a hard label is exactly score >= Threshold(),
+// and ScoreBatch returns the per-sample scores bit for bit, in input order.
+func TestDriverContract(t *testing.T) {
+	_, _, raws := fixtures(t)
+	drivers := append(append([]Driver(nil), fullSet(t).Drivers()...), avFixture(t))
+	for _, d := range drivers {
+		t.Run(d.Name(), func(t *testing.T) {
+			batch := d.ScoreBatch(raws)
+			if len(batch) != len(raws) {
+				t.Fatalf("ScoreBatch returned %d scores for %d samples", len(batch), len(raws))
+			}
+			for i, raw := range raws {
+				score := d.Score(raw)
+				if batch[i] != score {
+					t.Fatalf("sample %d: ScoreBatch %v != Score %v", i, batch[i], score)
+				}
+				if got, want := d.Label(raw), score >= d.Threshold(); got != want {
+					t.Fatalf("sample %d: Label %v, want score %v >= threshold %v = %v",
+						i, got, score, d.Threshold(), want)
+				}
+			}
+		})
 	}
 }
 
@@ -393,7 +450,6 @@ func TestDriverConstructorsRejectNil(t *testing.T) {
 		{"gbdt", func() error { _, err := NewGBDTDriver(nil); return err }()},
 		{"rnn", func() error { _, err := NewRNNDriver(nil); return err }()},
 		{"av", func() error { _, err := NewAVDriver(nil, ""); return err }()},
-		{"wrap", func() error { _, err := WrapDetector(nil, ""); return err }()},
 	}
 	for _, c := range cases {
 		if c.err == nil {

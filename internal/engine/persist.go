@@ -1,11 +1,9 @@
-// Per-engine persistence: each driver serializes into its own versioned gob
-// envelope — magic, format version, engine kind, name, suite order, and the
-// weight payload — replacing the monolithic suite blob. Files are written
-// atomically (temp + rename, like detect.SaveSuiteFile), a directory of
-// envelopes round-trips as a Set, and LoadPath still reads a legacy
-// models.gob by wrapping the decoded suite in drivers. The envelope digest
-// doubles as the engine version, so a load always advertises exactly what is
-// on disk.
+// Per-engine persistence, the repo's only model format: each driver
+// serializes into its own versioned gob envelope — magic, format version,
+// engine kind, name, suite order, and the weight payload. Files are written
+// atomically (temp + rename), and a directory of envelopes round-trips as a
+// Set. The envelope digest doubles as the engine version, so a load always
+// advertises exactly what is on disk.
 package engine
 
 import (
@@ -39,7 +37,7 @@ const (
 )
 
 // engineKind maps a driver to its envelope kind; drivers without one (AV
-// simulators, wrapped externals) are runtime-only and cannot be saved.
+// simulators) are runtime-only and cannot be saved.
 func engineKind(d Driver) (kind string, payload any, err error) {
 	switch t := d.(type) {
 	case *ConvDriver:
@@ -172,7 +170,7 @@ func envelopeFileName(index int, name string) string {
 
 // SaveDir writes every persistable member of the set into dir (created if
 // missing), one envelope file per engine, each atomically. Runtime-only
-// members (AV drivers, wrapped detectors) are an error: a directory must
+// members (AV drivers) are an error: a directory must
 // round-trip to the set that wrote it.
 func SaveDir(dir string, s *Set) error {
 	if s == nil || s.Len() == 0 {
@@ -191,10 +189,13 @@ func SaveDir(dir string, s *Set) error {
 
 // LoadDir reads every *.engine.gob in dir into a Set, ordered by each
 // envelope's recorded Index (name-tiebroken), independent of filesystem
-// listing order.
+// listing order. A missing dir returns an error matching os.ErrNotExist.
 func LoadDir(dir string) (*Set, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
+		if fi, serr := os.Stat(dir); serr == nil && !fi.IsDir() {
+			return nil, fmt.Errorf("engine: %s is a file; models load from a directory of *%s envelopes (mpass-train -out-dir)", dir, envelopeSuffix)
+		}
 		return nil, err
 	}
 	type loaded struct {
@@ -226,39 +227,4 @@ func LoadDir(dir string) (*Set, error) {
 		drivers[i] = l.d
 	}
 	return NewSet(drivers...)
-}
-
-// LoadPath resolves a model path of either form: a directory of per-engine
-// envelopes, a single engine envelope, or a legacy monolithic suite gob
-// (detect.SaveSuiteFile), which loads wrapped in drivers. The returned
-// source string describes what was read, for logs.
-func LoadPath(path string) (*Set, string, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, "", err
-	}
-	if fi.IsDir() {
-		s, err := LoadDir(path)
-		if err != nil {
-			return nil, "", err
-		}
-		return s, fmt.Sprintf("%s (dir, %d engines)", path, s.Len()), nil
-	}
-	// A file: legacy suite first (the common case), then a lone envelope.
-	if suite, serr := detect.LoadSuiteFile(path); serr == nil {
-		s, err := FromSuite(suite)
-		if err != nil {
-			return nil, "", err
-		}
-		return s, fmt.Sprintf("%s (legacy suite)", path), nil
-	}
-	d, _, err := LoadEngineFile(path)
-	if err != nil {
-		return nil, "", fmt.Errorf("engine: %s is neither a suite gob nor an engine envelope: %w", path, err)
-	}
-	s, err := NewSet(d)
-	if err != nil {
-		return nil, "", err
-	}
-	return s, fmt.Sprintf("%s (single engine)", path), nil
 }

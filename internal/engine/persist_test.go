@@ -2,12 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"mpass/internal/detect"
+	"mpass/internal/nn"
 )
 
 // TestEnvelopeRoundTripBitIdentity is the per-engine persistence gate: for
@@ -59,16 +61,13 @@ func TestEnvelopeRoundTripBitIdentity(t *testing.T) {
 	}
 }
 
-// TestSaveEngineRejectsRuntimeOnly: wrapper drivers have no envelope form —
+// TestSaveEngineRejectsRuntimeOnly: AV drivers have no envelope form —
 // persisting one must fail loudly instead of writing a file that cannot
 // round-trip.
 func TestSaveEngineRejectsRuntimeOnly(t *testing.T) {
-	wrapped, err := WrapDetector(stub("External", "v1"), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveEngine(&bytes.Buffer{}, wrapped, 0); err == nil {
-		t.Fatal("SaveEngine accepted a runtime-only wrapped detector")
+	avDrv := avFixture(t)
+	if err := SaveEngine(&bytes.Buffer{}, avDrv, 0); err == nil {
+		t.Fatal("SaveEngine accepted a runtime-only AV driver")
 	}
 	// A set containing one poisons the whole directory save.
 	suite, _, _ := fixtures(t)
@@ -76,7 +75,7 @@ func TestSaveEngineRejectsRuntimeOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed, err := NewSet(conv, wrapped)
+	mixed, err := NewSet(conv, avDrv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,22 +84,23 @@ func TestSaveEngineRejectsRuntimeOnly(t *testing.T) {
 	}
 }
 
+// TestLoadEngineRejectsBadEnvelopes: garbage, a mangled header, a
+// corrupted magic byte, or an envelope cut off at any point must fail
+// loudly, never yield a partially initialized driver.
 func TestLoadEngineRejectsBadEnvelopes(t *testing.T) {
-	if _, _, err := LoadEngine(bytes.NewReader([]byte("not a gob stream"))); err == nil {
-		t.Fatal("LoadEngine accepted garbage")
-	}
 	suite, _, _ := fixtures(t)
 	conv, err := NewConvDriver(suite.MalConv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mangle := func(f func(*envelope)) error {
-		var buf bytes.Buffer
-		if err := SaveEngine(&buf, conv, 0); err != nil {
-			t.Fatal(err)
-		}
+	var buf bytes.Buffer
+	if err := SaveEngine(&buf, conv, 0); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	mangle := func(f func(*envelope)) []byte {
 		var env envelope
-		if err := decodePayload(buf.Bytes(), &env); err != nil {
+		if err := decodePayload(full, &env); err != nil {
 			t.Fatal(err)
 		}
 		f(&env)
@@ -108,20 +108,80 @@ func TestLoadEngineRejectsBadEnvelopes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, lerr := LoadEngine(bytes.NewReader(raw))
-		return lerr
+		return raw
 	}
-	if err := mangle(func(e *envelope) { e.Magic = "pickle" }); err == nil {
-		t.Fatal("LoadEngine accepted a wrong magic")
+	i := bytes.Index(full, []byte(engineMagic))
+	if i < 0 {
+		t.Fatal("magic string not found in the encoded envelope")
 	}
-	if err := mangle(func(e *envelope) { e.Version = engineVersion + 1 }); err == nil {
-		t.Fatal("LoadEngine accepted a future format version")
+	corrupt := append([]byte(nil), full...)
+	corrupt[i] ^= 0xFF
+
+	cases := []struct {
+		name string
+		raw  []byte
+	}{
+		{"garbage", []byte("not a gob stream")},
+		{"a wrong magic", mangle(func(e *envelope) { e.Magic = "pickle" })},
+		{"a corrupted magic byte", corrupt},
+		{"a future format version", mangle(func(e *envelope) { e.Version = engineVersion + 1 })},
+		{"an unknown kind", mangle(func(e *envelope) { e.Kind = "onnx" })},
+		{"a name that disagrees with its payload", mangle(func(e *envelope) { e.Name = "Imposter" })},
 	}
-	if err := mangle(func(e *envelope) { e.Kind = "onnx" }); err == nil {
-		t.Fatal("LoadEngine accepted an unknown kind")
+	for _, frac := range []float64{0, 0.1, 0.5, 0.9, 0.999} {
+		n := int(frac * float64(len(full)))
+		cases = append(cases, struct {
+			name string
+			raw  []byte
+		}{fmt.Sprintf("an envelope truncated to %d/%d bytes", n, len(full)), full[:n]})
 	}
-	if err := mangle(func(e *envelope) { e.Name = "Imposter" }); err == nil {
-		t.Fatal("LoadEngine accepted an envelope whose name disagrees with its payload")
+	for _, c := range cases {
+		if _, _, err := LoadEngine(bytes.NewReader(c.raw)); err == nil {
+			t.Errorf("LoadEngine accepted %s", c.name)
+		}
+	}
+}
+
+// TestEnvelopeQuantRoundTrip: quantized tables are runtime-only. A conv
+// engine saved while serving int32 must load on the float64 reference path
+// bit-identically to its float source, and — once int32 is re-applied —
+// rebuild tables from the loaded weights that score exactly like the
+// source's.
+func TestEnvelopeQuantRoundTrip(t *testing.T) {
+	suite, _, raws := fixtures(t)
+	conv, err := NewConvDriver(suite.MalConv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conv.SetQuantMode(nn.QuantOff)
+
+	conv.SetQuantMode(nn.QuantInt32)
+	var buf bytes.Buffer
+	if err := SaveEngine(&buf, conv, 0); err != nil {
+		t.Fatalf("SaveEngine with int32 serving: %v", err)
+	}
+	quantScores := conv.ScoreBatch(raws)
+	conv.SetQuantMode(nn.QuantOff)
+	floatScores := conv.ScoreBatch(raws)
+
+	loaded, _, err := LoadEngine(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("LoadEngine: %v", err)
+	}
+	for j, raw := range raws {
+		if got := loaded.Score(raw); got != floatScores[j] {
+			t.Fatalf("sample %d: loaded float score %v != source %v", j, got, floatScores[j])
+		}
+	}
+	q, ok := QuantizerOf(loaded)
+	if !ok {
+		t.Fatal("loaded conv engine lost the quantizer capability")
+	}
+	q.SetQuantMode(nn.QuantInt32)
+	for j, raw := range raws {
+		if got := loaded.Score(raw); got != quantScores[j] {
+			t.Fatalf("sample %d: loaded int32 score %v != source int32 %v", j, got, quantScores[j])
+		}
 	}
 }
 
@@ -198,80 +258,35 @@ func TestLoadDirOrdersByRecordedIndex(t *testing.T) {
 	}
 }
 
-// TestLoadPathResolvesAllForms: directory of envelopes, legacy monolithic
-// suite gob, lone envelope file — and refuses everything else.
-func TestLoadPathResolvesAllForms(t *testing.T) {
-	suite, _, raws := fixtures(t)
-	set, err := FromSuite(suite)
+// TestLoadDirRejectsNonDirectories: a model path is a directory of
+// envelopes and nothing else. A regular file — junk or a lone envelope — is
+// refused with an error naming the directory format, and a missing path
+// reports os.ErrNotExist, which mpassd reads as "train and save here".
+func TestLoadDirRejectsNonDirectories(t *testing.T) {
+	suite, _, _ := fixtures(t)
+	conv, err := NewConvDriver(suite.MalConv)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	dir := t.TempDir()
-	if err := SaveDir(dir, set); err != nil {
-		t.Fatal(err)
-	}
-	fromDir, src, err := LoadPath(dir)
-	if err != nil {
-		t.Fatalf("LoadPath(dir): %v", err)
-	}
-	if !strings.Contains(src, "dir") {
-		t.Fatalf("dir source = %q", src)
-	}
-	if fromDir.Version() != set.Version() {
-		t.Fatalf("dir load version %s != %s", fromDir.Version(), set.Version())
-	}
-
-	legacy := filepath.Join(t.TempDir(), "models.gob")
-	if err := detect.SaveSuiteFile(legacy, suite); err != nil {
-		t.Fatal(err)
-	}
-	fromLegacy, src, err := LoadPath(legacy)
-	if err != nil {
-		t.Fatalf("LoadPath(legacy): %v", err)
-	}
-	if !strings.Contains(src, "legacy") {
-		t.Fatalf("legacy source = %q", src)
-	}
-	for i, name := range set.Names() {
-		if fromLegacy.Names()[i] != name {
-			t.Fatalf("legacy load order %v, want %v", fromLegacy.Names(), set.Names())
-		}
-	}
-	// The two load forms score bit-identically: same weights, either wrapper.
-	for i, d := range fromLegacy.Drivers() {
-		dd := fromDir.Drivers()[i]
-		for _, raw := range raws[:4] {
-			if d.Score(raw) != dd.Score(raw) {
-				t.Fatalf("%s: legacy-form score != envelope-form score", d.Name())
-			}
-		}
-	}
-
 	lone := filepath.Join(t.TempDir(), "malconv.engine.gob")
-	if err := SaveEngineFile(lone, set.Drivers()[0], 0); err != nil {
+	if err := SaveEngineFile(lone, conv, 0); err != nil {
 		t.Fatal(err)
 	}
-	single, src, err := LoadPath(lone)
-	if err != nil {
-		t.Fatalf("LoadPath(lone envelope): %v", err)
-	}
-	if !strings.Contains(src, "single") {
-		t.Fatalf("single source = %q", src)
-	}
-	if single.Len() != 1 || single.Names()[0] != "MalConv" {
-		t.Fatalf("single load = %v", single.Names())
-	}
-
-	junk := filepath.Join(t.TempDir(), "junk.bin")
-	if err := os.WriteFile(junk, []byte("neither form"), 0o644); err != nil {
+	junk := filepath.Join(t.TempDir(), "models.gob")
+	if err := os.WriteFile(junk, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadPath(junk); err == nil {
-		t.Fatal("LoadPath accepted a junk file")
+	for _, path := range []string{lone, junk} {
+		_, err := LoadDir(path)
+		if err == nil {
+			t.Fatalf("LoadDir accepted the regular file %s", path)
+		}
+		if !strings.Contains(err.Error(), "directory") || !strings.Contains(err.Error(), envelopeSuffix) {
+			t.Fatalf("LoadDir(%s) error %q does not name the directory format", path, err)
+		}
 	}
-	if _, _, err := LoadPath(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("LoadPath accepted a missing path")
+	if _, err := LoadDir(filepath.Join(t.TempDir(), "missing")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("LoadDir(missing) = %v, want os.ErrNotExist", err)
 	}
 }
 
@@ -300,12 +315,8 @@ func TestSaveEngineFileAtomic(t *testing.T) {
 		t.Fatalf("directory after save: %v, want only the target file", names)
 	}
 	// A runtime-only driver fails before the rename: no target file appears.
-	wrapped, err := WrapDetector(stub("External", "v1"), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := filepath.Join(dir, "external.engine.gob")
-	if err := SaveEngineFile(bad, wrapped, 1); err == nil {
+	bad := filepath.Join(dir, "av.engine.gob")
+	if err := SaveEngineFile(bad, avFixture(t), 1); err == nil {
 		t.Fatal("SaveEngineFile accepted a runtime-only driver")
 	}
 	if _, err := os.Stat(bad); !os.IsNotExist(err) {

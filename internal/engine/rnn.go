@@ -67,9 +67,6 @@ func (d *RNNDetector) ScoreBatch(raws [][]byte) []float64 {
 	return scores
 }
 
-// DecisionThreshold implements detect.Thresholder.
-func (d *RNNDetector) DecisionThreshold() float64 { return d.Thresh }
-
 // rnnStream evaluates perplexity incrementally: the hidden state advances
 // byte by byte as chunks arrive, so memory is O(hidden) regardless of body
 // size and the result is bit-identical to the buffered Score (same ops in

@@ -87,10 +87,9 @@ func QuickConfig() Config {
 }
 
 // Suite bundles everything the experiments need. The embedded detect.Suite
-// is the §IV-A offline-model set — the same type the persistence layer
-// (detect.SaveSuite/LoadSuite) and the serving daemon (internal/server,
-// cmd/mpassd) keep resident, so its OfflineTargets/KnownFor accessors are
-// promoted here.
+// is the §IV-A offline-model set — the same models the serving daemon
+// (cmd/mpassd) loads as per-engine envelopes via engine.FromSuite — so its
+// OfflineTargets/KnownFor accessors are promoted here.
 type Suite struct {
 	Cfg Config
 	DS  *corpus.Dataset

@@ -17,24 +17,55 @@ import (
 
 	"mpass/internal/core"
 	"mpass/internal/detect"
+	"mpass/internal/engine"
 	"mpass/internal/faultinject"
 	"mpass/internal/server"
+	"mpass/internal/tenant"
 )
 
-// stubDetector is a deterministic, training-free detector so a whole fleet
-// of real server.Server replicas boots in microseconds.
-type stubDetector struct {
+// stubDriver is a deterministic, training-free engine so a whole fleet of
+// real server.Server replicas boots in microseconds.
+type stubDriver struct {
 	name string
 	thr  float64
 }
 
-func (d *stubDetector) Name() string { return d.name }
-func (d *stubDetector) Score(raw []byte) float64 {
+func (d *stubDriver) Name() string { return d.name }
+func (d *stubDriver) Score(raw []byte) float64 {
 	sum := sha256.Sum256(raw)
 	return float64(sum[0]) / 255
 }
-func (d *stubDetector) Label(raw []byte) bool      { return d.Score(raw) > d.thr }
-func (d *stubDetector) DecisionThreshold() float64 { return d.thr }
+func (d *stubDriver) Label(raw []byte) bool { return d.Score(raw) >= d.thr }
+func (d *stubDriver) ScoreBatch(raws [][]byte) []float64 {
+	out := make([]float64, len(raws))
+	for i, raw := range raws {
+		out[i] = d.Score(raw)
+	}
+	return out
+}
+func (d *stubDriver) Threshold() float64 { return d.thr }
+func (d *stubDriver) Version() string    { return "stub-v1" }
+func (d *stubDriver) Health() error      { return nil }
+
+// stubReplica boots one replica on the stub engines A and B; tenants nil
+// leaves it single-tenant. Every replica holds the same set, so the fleet
+// agrees on one model version.
+func stubReplica(t *testing.T, tenants *tenant.Table) *server.Server {
+	t.Helper()
+	set, err := engine.NewSet(&stubDriver{name: "A", thr: 0.5}, &stubDriver{name: "B", thr: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := engine.NewRegistry(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Registry: reg, Attack: stubAttack(), Tenants: tenants})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
 
 // stubAttack is a fast AttackFunc: one oracle query, terminal result.
 func stubAttack() server.AttackFunc {
@@ -56,22 +87,24 @@ type fleet struct {
 }
 
 // newFleet boots n replicas (real server.Server instances on stub
-// detectors) and a gateway over them. gcfg.Replicas is filled in here.
+// engines) and a gateway over them. gcfg.Replicas is filled in here.
 func newFleet(t *testing.T, n int, gcfg Config) *fleet {
+	return newTenantFleet(t, n, gcfg, nil)
+}
+
+// newTenantFleet is newFleet with a tenant allowlist on every replica
+// (none when tenants is nil): each replica owns an independent table built
+// from the same tenant list, exactly as separate mpassd processes sharing
+// one allowlist file would.
+func newTenantFleet(t *testing.T, n int, gcfg Config, tenants []tenant.Tenant) *fleet {
 	t.Helper()
 	f := &fleet{}
 	for i := 0; i < n; i++ {
-		srv, err := server.New(server.Config{
-			Detectors: []detect.Detector{
-				&stubDetector{name: "A", thr: 0.5},
-				&stubDetector{name: "B", thr: 0.2},
-			},
-			Attack:       stubAttack(),
-			ModelVersion: "fleet-v1",
-		})
-		if err != nil {
-			t.Fatalf("replica %d: %v", i, err)
+		var tb *tenant.Table
+		if tenants != nil {
+			tb = tenant.NewTable(tenants, time.Now())
 		}
+		srv := stubReplica(t, tb)
 		ts := httptest.NewServer(srv.Handler())
 		f.servers = append(f.servers, srv)
 		f.ts = append(f.ts, ts)
@@ -149,7 +182,7 @@ func TestGatewayShardAffineCaching(t *testing.T) {
 	const nSamples = 24
 	f := newFleet(t, 3, Config{})
 	samples := sampleBodies(nSamples, 512, 42)
-	det := &stubDetector{name: "A", thr: 0.5}
+	det := &stubDriver{name: "A", thr: 0.5}
 
 	for round := 0; round < 2; round++ {
 		for i, body := range samples {

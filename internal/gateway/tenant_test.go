@@ -15,59 +15,8 @@ import (
 	"testing"
 	"time"
 
-	"mpass/internal/detect"
-	"mpass/internal/server"
 	"mpass/internal/tenant"
 )
-
-// newTenantFleet is newFleet with a tenant allowlist on every replica:
-// each replica owns an independent table built from the same tenant list,
-// exactly as separate mpassd processes sharing one allowlist file would.
-func newTenantFleet(t *testing.T, n int, gcfg Config, tenants []tenant.Tenant) *fleet {
-	t.Helper()
-	f := &fleet{}
-	for i := 0; i < n; i++ {
-		srv, err := server.New(server.Config{
-			Detectors: []detect.Detector{
-				&stubDetector{name: "A", thr: 0.5},
-				&stubDetector{name: "B", thr: 0.2},
-			},
-			Attack:       stubAttack(),
-			ModelVersion: "fleet-v1",
-			Tenants:      tenant.NewTable(tenants, time.Now()),
-		})
-		if err != nil {
-			t.Fatalf("replica %d: %v", i, err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		f.servers = append(f.servers, srv)
-		f.ts = append(f.ts, ts)
-		f.names = append(f.names, strings.TrimPrefix(ts.URL, "http://"))
-	}
-	gcfg.Replicas = f.names
-	if gcfg.HealthInterval == 0 {
-		gcfg.HealthInterval = 50 * time.Millisecond
-	}
-	gw, err := New(gcfg)
-	if err != nil {
-		t.Fatalf("gateway New: %v", err)
-	}
-	f.gw = gw
-	f.gwTS = httptest.NewServer(gw.Handler())
-	t.Cleanup(func() {
-		f.gwTS.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		gw.Close(ctx)
-		for i, ts := range f.ts {
-			ts.Close()
-			sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-			f.servers[i].Shutdown(sctx)
-			scancel()
-		}
-	})
-	return f
-}
 
 // doAuth sends one request through the gateway with an optional credential.
 func doAuth(t *testing.T, method, url, key string, bearer bool, body []byte) *http.Response {

@@ -6,7 +6,8 @@ import (
 	"fmt"
 )
 
-// Gob persistence for trained ensembles (detect.SaveSuite / LoadSuite).
+// Gob persistence for trained ensembles: the gbdt engine's envelope payload
+// (engine.SaveEngine / LoadEngine) carries its Ensemble in this form.
 //
 // Trees are stored in structure-of-arrays form — one slice per node field,
 // indexed like the flattened node slice — so the format has no unexported

@@ -8,7 +8,8 @@ import (
 	"mpass/internal/tensor"
 )
 
-// Gob persistence for trained networks (detect.SaveSuite / LoadSuite).
+// Gob persistence for trained networks: a conv engine's envelope payload
+// (engine.SaveEngine / LoadEngine) carries its ConvNet in this form.
 //
 // Only the architecture and the trained parameters travel: gradient
 // accumulators, scratch pools, inference tables, and the Workers knob are

@@ -6,12 +6,11 @@ import (
 	"sync"
 	"time"
 
-	"mpass/internal/detect"
 	"mpass/internal/parallel"
 )
 
 // Batcher is the micro-batching dispatcher: concurrent scan requests are
-// coalesced into one ScoreBatch call per resident detector, so the
+// coalesced into one ScoreBatch call per resident engine, so the
 // lookup-table fast path's per-batch costs (table fetch, worker fan-out)
 // amortize across requests instead of being paid once per HTTP call.
 //
@@ -26,10 +25,10 @@ import (
 // fails fast with ErrOverloaded and the HTTP layer sheds the request with a
 // 429.
 //
-// A flush scores the set's detectors concurrently, one worker per detector
-// up to GOMAXPROCS. Scores are bit-identical to calling Detector.Score per sample:
-// the dispatcher only regroups inputs, and the ScoreBatch implementations
-// carry the repo-wide batch-equals-single parity guarantee.
+// A flush scores the set's engines concurrently, one worker per engine up
+// to GOMAXPROCS. Scores are bit-identical to calling Driver.Score per
+// sample: the dispatcher only regroups inputs, and the ScoreBatch
+// implementations carry the repo-wide batch-equals-single parity guarantee.
 type Batcher struct {
 	// src resolves the model set to score with; the dispatcher loads it once
 	// per flush, so every request coalesced into one batch is scored and
@@ -46,7 +45,7 @@ type Batcher struct {
 	done   chan struct{} // dispatcher exited
 }
 
-// scanOut is one request's result: per-detector scores and hard labels, in
+// scanOut is one request's result: per-engine scores and hard labels, in
 // set order, plus the model generation that produced them — response
 // rendering and cache filing key on the set that actually scored, never on
 // whatever is current by the time the result is consumed.
@@ -67,14 +66,6 @@ var (
 	ErrOverloaded = errors.New("server: scan queue full")
 	ErrClosed     = errors.New("server: shutting down")
 )
-
-// newBatcher starts a dispatcher over a fixed detector slice — the
-// compatibility constructor for embedders (and tests) without a reloadable
-// model set.
-func newBatcher(dets []detect.Detector, maxBatch, queue int, window time.Duration, m *Metrics) *Batcher {
-	ms := &modelSet{dets: dets}
-	return newBatcherSrc(func() *modelSet { return ms }, maxBatch, queue, window, m)
-}
 
 // newBatcherSrc starts the dispatcher over a model-set source. maxBatch and
 // queue have sane minimums. window paces oracle-only batches; window <= 0
@@ -228,32 +219,26 @@ func (b *Batcher) flush(batch []*scanReq) {
 	// One snapshot per flush: every request in this batch gets scores and
 	// labels from the same model generation.
 	set := b.src()
+	drivers := set.Drivers()
 	outs := make([]scanOut, len(batch))
 	for i := range outs {
 		outs[i] = scanOut{
-			Scores: make([]float64, len(set.dets)),
-			Labels: make([]bool, len(set.dets)),
+			Scores: make([]float64, len(drivers)),
+			Labels: make([]bool, len(drivers)),
 			set:    set,
 		}
 	}
-	// Detectors score concurrently; each worker writes only column di of
-	// outs, and ForEach hands detectors out in set order.
-	parallel.ForEach(0, len(set.dets), func(di int) {
-		d := set.dets[di]
-		scores := detect.ScoreAll(d, raws, 0)
-		var labels []bool
-		if th, ok := d.(detect.Thresholder); ok {
-			thr := th.DecisionThreshold()
-			labels = make([]bool, len(scores))
-			for i, s := range scores {
-				labels[i] = s >= thr
-			}
-		} else {
-			labels = detect.LabelAll(d, raws, 0)
-		}
+	// Engines score concurrently; each worker writes only column di of
+	// outs, and ForEach hands engines out in set order. A driver's label is
+	// score >= Threshold() by the Driver contract, so labels cost no second
+	// scoring pass.
+	parallel.ForEach(0, len(drivers), func(di int) {
+		d := drivers[di]
+		scores := d.ScoreBatch(raws)
+		thr := d.Threshold()
 		for i := range batch {
 			outs[i].Scores[di] = scores[i]
-			outs[i].Labels[di] = labels[i]
+			outs[i].Labels[di] = scores[i] >= thr
 		}
 	})
 	for i, r := range batch {

@@ -10,46 +10,77 @@ import (
 	"time"
 
 	"mpass/internal/detect"
+	"mpass/internal/engine"
 	"mpass/internal/nn"
 )
 
-// stubDetector scores deterministically from a hash of the input, so tests
+// stubDriver scores deterministically from a hash of the input, so tests
 // can verify per-request result routing without training anything.
-type stubDetector struct {
+type stubDriver struct {
 	name string
 	thr  float64
 }
 
-func (d *stubDetector) Name() string { return d.name }
+func (d *stubDriver) Name() string { return d.name }
 
-func (d *stubDetector) Score(raw []byte) float64 {
+func (d *stubDriver) Score(raw []byte) float64 {
 	h := fnv.New64a()
-	h.Write([]byte(d.name)) // distinct detectors disagree on the same bytes
+	h.Write([]byte(d.name)) // distinct engines disagree on the same bytes
 	h.Write(raw)
 	return float64(h.Sum64()%1000) / 1000
 }
 
-func (d *stubDetector) Label(raw []byte) bool { return d.Score(raw) >= d.thr }
+func (d *stubDriver) Label(raw []byte) bool { return d.Score(raw) >= d.thr }
 
-func (d *stubDetector) DecisionThreshold() float64 { return d.thr }
+func (d *stubDriver) ScoreBatch(raws [][]byte) []float64 {
+	out := make([]float64, len(raws))
+	for i, raw := range raws {
+		out[i] = d.Score(raw)
+	}
+	return out
+}
 
-// gatedDetector wraps a detector so every batch flush parks until the test
+func (d *stubDriver) Threshold() float64 { return d.thr }
+func (d *stubDriver) Version() string    { return "stub-v1" }
+func (d *stubDriver) Health() error      { return nil }
+
+// stubRegistry is the package's one way to put engines behind a registry:
+// the given drivers, or the stub engines A and B when none are given.
+func stubRegistry(t *testing.T, drivers ...engine.Driver) *engine.Registry {
+	t.Helper()
+	if len(drivers) == 0 {
+		drivers = []engine.Driver{&stubDriver{name: "A", thr: 0.5}, &stubDriver{name: "B", thr: 0.2}}
+	}
+	reg, err := engine.NewRegistry(engineSet(t, drivers...))
+	if err != nil {
+		t.Fatalf("NewRegistry: %v", err)
+	}
+	return reg
+}
+
+// testBatcher starts a dispatcher over a fixed set of drivers.
+func testBatcher(t *testing.T, maxBatch, queue int, window time.Duration, m *Metrics, drivers ...engine.Driver) *Batcher {
+	ms := newModelSet(engineSet(t, drivers...), true)
+	return newBatcherSrc(func() *modelSet { return ms }, maxBatch, queue, window, m)
+}
+
+// gatedDriver wraps a driver so every batch flush parks until the test
 // releases it — the lever that makes coalescing deterministic.
-type gatedDetector struct {
-	detect.Detector
+type gatedDriver struct {
+	engine.Driver
 	entered chan int      // receives each flush's batch size
 	release chan struct{} // one receive per flush
 }
 
-func (g *gatedDetector) ScoreBatch(raws [][]byte) []float64 {
+func (g *gatedDriver) ScoreBatch(raws [][]byte) []float64 {
 	g.entered <- len(raws)
 	<-g.release
-	return detect.ScoreAll(g.Detector, raws, 1)
+	return g.Driver.ScoreBatch(raws)
 }
 
-// convDetector builds a small untrained (random-weight) ConvDetector:
+// convDriver builds a small untrained (random-weight) conv engine:
 // deterministic scores through the real lookup-table batch path.
-func convDetector(t *testing.T, name string, seed int64) *detect.ConvDetector {
+func convDriver(t *testing.T, name string, seed int64) *engine.ConvDriver {
 	t.Helper()
 	net, err := nn.NewConvNet(nn.ConvConfig{
 		SeqLen: 512, EmbedDim: 3, Kernel: 8, Stride: 4, Filters: 6, Seed: seed,
@@ -57,7 +88,11 @@ func convDetector(t *testing.T, name string, seed int64) *detect.ConvDetector {
 	if err != nil {
 		t.Fatalf("NewConvNet: %v", err)
 	}
-	return &detect.ConvDetector{ModelName: name, Net: net, Threshold: 0.5}
+	d, err := engine.NewConvDriver(&detect.ConvDetector{ModelName: name, Net: net, Threshold: 0.5})
+	if err != nil {
+		t.Fatalf("NewConvDriver: %v", err)
+	}
+	return d
 }
 
 func randomRaws(seed int64, n, maxLen int) [][]byte {
@@ -70,31 +105,20 @@ func randomRaws(seed int64, n, maxLen int) [][]byte {
 	return raws
 }
 
-// plainDetector has a hard label that is not score >= threshold and no
-// DecisionThreshold, so the dispatcher must label it with LabelAll rather
-// than derive labels from scores.
-type plainDetector struct{ inner stubDetector }
-
-func (d *plainDetector) Name() string { return "plain" }
-
-func (d *plainDetector) Score(raw []byte) float64 { return d.inner.Score(raw) }
-
-func (d *plainDetector) Label(raw []byte) bool { return len(raw)%2 == 0 }
-
-// TestBatcherParityWithDirectScore is the acceptance gate: scores served
-// through the micro-batching path are bit-identical to direct
-// Detector.Score calls on the same bytes. The set mixes Thresholder and
-// non-Thresholder detectors, the callers mix interactive and oracle
-// submissions, and the detectors of each flush score in parallel.
+// TestBatcherParityWithDirectScore is the acceptance gate: scores and
+// labels served through the micro-batching path are bit-identical to direct
+// Driver.Score and Driver.Label calls on the same bytes. The set mixes real
+// conv engines with stubs, the callers mix interactive and oracle
+// submissions, and the engines of each flush score in parallel.
 func TestBatcherParityWithDirectScore(t *testing.T) {
-	dets := []detect.Detector{
-		convDetector(t, "MalConvA", 1),
-		&plainDetector{stubDetector{name: "plain"}},
-		convDetector(t, "MalConvB", 2),
-		&stubDetector{name: "stub", thr: 0.3},
+	dets := []engine.Driver{
+		convDriver(t, "MalConvA", 1),
+		&stubDriver{name: "plain", thr: 0.7},
+		convDriver(t, "MalConvB", 2),
+		&stubDriver{name: "stub", thr: 0.3},
 	}
 	var m Metrics
-	b := newBatcher(dets, 8, 64, time.Millisecond, &m)
+	b := testBatcher(t, 8, 64, time.Millisecond, &m, dets...)
 	defer b.Close()
 
 	raws := randomRaws(3, 48, 400)
@@ -134,7 +158,7 @@ func TestBatcherParityWithDirectScore(t *testing.T) {
 // flushes as soon as the queue is drained, alone, however long the window.
 func TestBatcherInteractiveSkipsWindow(t *testing.T) {
 	var m Metrics
-	b := newBatcher([]detect.Detector{&stubDetector{name: "stub", thr: 0.5}}, 8, 16, time.Hour, &m)
+	b := testBatcher(t, 8, 16, time.Hour, &m, &stubDriver{name: "stub", thr: 0.5})
 	defer b.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -154,7 +178,7 @@ func TestBatcherInteractiveSkipsWindow(t *testing.T) {
 // with it as one batch of two.
 func TestBatcherOracleWaitsForWindow(t *testing.T) {
 	var m Metrics
-	b := newBatcher([]detect.Detector{&stubDetector{name: "stub", thr: 0.5}}, 8, 16, time.Hour, &m)
+	b := testBatcher(t, 8, 16, time.Hour, &m, &stubDriver{name: "stub", thr: 0.5})
 	defer b.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -190,8 +214,7 @@ func TestBatcherOracleWaitsForWindow(t *testing.T) {
 // TestBatcherZeroWindowLoneRequest: with no window a lone request flushes
 // once the queue is drained instead of blocking for a second arrival.
 func TestBatcherZeroWindowLoneRequest(t *testing.T) {
-	dets := []detect.Detector{&stubDetector{name: "stub", thr: 0.5}}
-	b := newBatcher(dets, 8, 16, 0, nil)
+	b := testBatcher(t, 8, 16, 0, nil, &stubDriver{name: "stub", thr: 0.5})
 	defer b.Close()
 	for _, score := range []func(context.Context, []byte) (scanOut, error){b.Score, b.ScoreWait} {
 		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
@@ -208,14 +231,14 @@ func TestBatcherZeroWindowLoneRequest(t *testing.T) {
 // response is lost or duplicated, and at least one coalesced batch with
 // size > 1 is observed. Run under -race via `make race`.
 func TestBatcherCoalescesConcurrentScans(t *testing.T) {
-	inner := &stubDetector{name: "stub", thr: 0.5}
-	gate := &gatedDetector{
-		Detector: inner,
-		entered:  make(chan int, 16),
-		release:  make(chan struct{}),
+	inner := &stubDriver{name: "stub", thr: 0.5}
+	gate := &gatedDriver{
+		Driver:  inner,
+		entered: make(chan int, 16),
+		release: make(chan struct{}),
 	}
 	var m Metrics
-	b := newBatcher([]detect.Detector{gate}, 32, 64, 5*time.Millisecond, &m)
+	b := testBatcher(t, 32, 64, 5*time.Millisecond, &m, gate)
 	defer b.Close()
 
 	const extra = 15
@@ -288,13 +311,12 @@ func TestBatcherCoalescesConcurrentScans(t *testing.T) {
 func (b *Batcher) queued() int { return len(b.reqs) }
 
 func TestBatcherShedsWhenQueueFull(t *testing.T) {
-	inner := &stubDetector{name: "stub", thr: 0.5}
-	gate := &gatedDetector{
-		Detector: inner,
-		entered:  make(chan int, 8),
-		release:  make(chan struct{}),
+	gate := &gatedDriver{
+		Driver:  &stubDriver{name: "stub", thr: 0.5},
+		entered: make(chan int, 8),
+		release: make(chan struct{}),
 	}
-	b := newBatcher([]detect.Detector{gate}, 2, 2, time.Millisecond, nil)
+	b := testBatcher(t, 2, 2, time.Millisecond, nil, gate)
 	done := make(chan error, 8)
 	go func() {
 		_, err := b.Score(context.Background(), []byte("first"))
@@ -329,8 +351,8 @@ func TestBatcherShedsWhenQueueFull(t *testing.T) {
 }
 
 func TestBatcherScoreAfterCloseAndCtxCancel(t *testing.T) {
-	inner := &stubDetector{name: "stub", thr: 0.5}
-	b := newBatcher([]detect.Detector{inner}, 4, 8, time.Millisecond, nil)
+	inner := &stubDriver{name: "stub", thr: 0.5}
+	b := testBatcher(t, 4, 8, time.Millisecond, nil, inner)
 	if _, err := b.Score(context.Background(), []byte("x")); err != nil {
 		t.Fatalf("Score before close: %v", err)
 	}
@@ -344,7 +366,7 @@ func TestBatcherScoreAfterCloseAndCtxCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	b2 := newBatcher([]detect.Detector{inner}, 4, 8, time.Hour, nil) // huge window
+	b2 := testBatcher(t, 4, 8, time.Hour, nil, inner) // huge window
 	defer b2.Close()
 	go b2.Score(context.Background(), []byte("hold the window open"))
 	if _, err := b2.ScoreWait(ctx, []byte("y")); err != context.Canceled {
@@ -358,12 +380,12 @@ func TestBatcherScoreAfterCloseAndCtxCancel(t *testing.T) {
 // observe its context's cancellation immediately, not after the queue
 // frees up.
 func TestScoreWaitCancelledMidBackpressure(t *testing.T) {
-	gate := &gatedDetector{
-		Detector: &stubDetector{name: "stub", thr: 0.5},
-		entered:  make(chan int, 8),
-		release:  make(chan struct{}, 8),
+	gate := &gatedDriver{
+		Driver:  &stubDriver{name: "stub", thr: 0.5},
+		entered: make(chan int, 8),
+		release: make(chan struct{}, 8),
 	}
-	b := newBatcher([]detect.Detector{gate}, 1, 1, time.Millisecond, nil)
+	b := testBatcher(t, 1, 1, time.Millisecond, nil, gate)
 	defer b.Close()
 
 	// Park the dispatcher inside a flush ...

@@ -32,10 +32,8 @@ type HealthStatus struct {
 	// Models lists the resident detectors in scan-response order.
 	Models []string `json:"models"`
 	// ModelVersion identifies the resident model generation: the engine
-	// set's content-addressed version on registry-backed servers (it moves
-	// on every hot reload), or Config.ModelVersion / a name digest on static
-	// ones. Replicas in one fleet should agree; the gateway surfaces
-	// mismatches.
+	// set's content-addressed version, which moves on every hot reload.
+	// Replicas in one fleet should agree; the gateway surfaces mismatches.
 	ModelVersion string `json:"model_version"`
 	// Engines carries per-engine name/version/health for the resident set,
 	// in scan-response order.
@@ -65,8 +63,8 @@ func (s *Server) health() HealthStatus {
 	}
 	return HealthStatus{
 		Status:       status,
-		Models:       ms.names,
-		ModelVersion: ms.version,
+		Models:       ms.Names(),
+		ModelVersion: ms.Version(),
 		Engines:      ms.engineHealth(),
 		Draining:     draining,
 		UptimeS:      time.Since(s.started).Seconds(),

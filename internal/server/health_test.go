@@ -12,7 +12,7 @@ import (
 // checker and least-loaded picker consume — while the original bare
 // contract (200 serving, 503 draining) stays intact.
 func TestHealthzEnriched(t *testing.T) {
-	s, ts := newTestServer(t, Config{ModelVersion: "test-v42", AttackQueue: 7})
+	s, ts := newTestServer(t, Config{AttackQueue: 7})
 
 	var h HealthStatus
 	resp := getJSON(t, ts.URL+"/healthz", &h)
@@ -22,8 +22,8 @@ func TestHealthzEnriched(t *testing.T) {
 	if h.Status != "ok" || h.Draining {
 		t.Fatalf("healthz = %+v, want status ok / not draining", h)
 	}
-	if h.ModelVersion != "test-v42" {
-		t.Fatalf("model_version = %q, want test-v42", h.ModelVersion)
+	if want := s.cfg.Registry.Current().Version(); h.ModelVersion != want {
+		t.Fatalf("model_version = %q, want the engine set's %q", h.ModelVersion, want)
 	}
 	if len(h.Models) != 2 {
 		t.Fatalf("models = %v, want the 2 stub detectors", h.Models)
@@ -50,16 +50,20 @@ func TestHealthzEnriched(t *testing.T) {
 	}
 }
 
-// TestHealthzDefaultModelVersion pins the unconfigured fallback: a stable
-// digest of the detector names, identical across replicas of the same suite.
+// TestHealthzDefaultModelVersion pins the content-addressed version: two
+// replicas serving identical engines advertise the same non-empty version,
+// and it is the engine set's own.
 func TestHealthzDefaultModelVersion(t *testing.T) {
-	_, ts1 := newTestServer(t, Config{})
+	s1, ts1 := newTestServer(t, Config{})
 	_, ts2 := newTestServer(t, Config{})
 	var h1, h2 HealthStatus
 	getJSON(t, ts1.URL+"/healthz", &h1)
 	getJSON(t, ts2.URL+"/healthz", &h2)
 	if h1.ModelVersion == "" || h1.ModelVersion != h2.ModelVersion {
-		t.Fatalf("default model versions %q vs %q, want equal and non-empty",
+		t.Fatalf("model versions %q vs %q, want equal and non-empty",
 			h1.ModelVersion, h2.ModelVersion)
+	}
+	if want := s1.cfg.Registry.Current().Version(); h1.ModelVersion != want {
+		t.Fatalf("model_version = %q, want the engine set's %q", h1.ModelVersion, want)
 	}
 }

@@ -8,131 +8,60 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"strings"
-
 	"mpass/internal/detect"
 	"mpass/internal/engine"
 )
 
-// modelSet is one resident model generation, frozen at build time.
+// modelSet is one resident model generation, frozen at build time. The
+// embedded engine set supplies names, lookups, and the version that keys the
+// score cache and stamps scan responses, job records, and /healthz.
 type modelSet struct {
-	dets   []detect.Detector
-	names  []string
-	byName map[string]int
-	// version identifies this exact generation; it keys the score cache and
-	// stamps scan responses, job records, and /healthz.
-	version string
+	*engine.Set
 
-	// Streaming scan path, resolved once per generation: non-nil only when
-	// every member can stream and label (Streamer + Thresholder).
-	streamers  []detect.Streamer
-	thresholds []float64
-
-	// drivers is non-nil for registry-backed sets; per-engine versions and
-	// health derive from it. Static (Config.Detectors) sets leave it nil and
-	// synthesize engine entries from the set version.
-	drivers []engine.Driver
+	// streamers serve the streaming scan path, resolved once per
+	// generation: non-nil only when every member can stream.
+	streamers []detect.Streamer
 }
 
 // snap loads the active model generation. Callers hold the returned pointer
 // for the whole request so one request never spans a swap.
 func (s *Server) snap() *modelSet { return s.models.Load() }
 
-// newModelSetFromEngines builds the serving snapshot for one engine-set
-// generation.
-func newModelSetFromEngines(es *engine.Set, streamOff bool) *modelSet {
-	ms := &modelSet{
-		dets:    es.Detectors(),
-		names:   es.Names(),
-		byName:  make(map[string]int, es.Len()),
-		version: es.Version(),
-		drivers: es.Drivers(),
+// newModelSet builds the serving snapshot for one engine-set generation.
+// streamOff leaves the streaming path unresolved, so every scan takes the
+// buffered pipeline.
+func newModelSet(es *engine.Set, streamOff bool) *modelSet {
+	ms := &modelSet{Set: es}
+	if !streamOff {
+		ms.resolveStreamers()
 	}
-	for i, n := range ms.names {
-		ms.byName[n] = i
-	}
-	ms.resolveStreamers(streamOff)
 	return ms
 }
 
-// newModelSetStatic wraps a fixed detector slice (legacy Config.Detectors
-// servers). An empty version derives a stable digest of the detector names,
-// so even an unconfigured replica advertises something comparable across a
-// fleet.
-func newModelSetStatic(dets []detect.Detector, version string, streamOff bool) (*modelSet, error) {
-	if len(dets) == 0 {
-		return nil, fmt.Errorf("server: no detectors configured")
-	}
-	ms := &modelSet{
-		dets:   dets,
-		names:  make([]string, len(dets)),
-		byName: make(map[string]int, len(dets)),
-	}
-	for i, d := range dets {
-		name := d.Name()
-		if _, dup := ms.byName[name]; dup {
-			return nil, fmt.Errorf("server: duplicate detector name %q", name)
-		}
-		ms.names[i] = name
-		ms.byName[name] = i
-	}
-	if version == "" {
-		sum := sha256.Sum256([]byte(strings.Join(ms.names, "\x00")))
-		version = "models-" + hex.EncodeToString(sum[:8])
-	}
-	ms.version = version
-	ms.resolveStreamers(streamOff)
-	return ms, nil
-}
-
-// resolveStreamers fills streamers/thresholds when every member supports the
-// streaming path; otherwise both stay nil and every scan takes the buffered
-// pipeline. Driver-backed members probe through wrappers via the engine
-// capability probes.
-func (ms *modelSet) resolveStreamers(off bool) {
-	if off {
-		return
-	}
-	streamers := make([]detect.Streamer, len(ms.dets))
-	thresholds := make([]float64, len(ms.dets))
-	for i, d := range ms.dets {
-		st, ok := d.(detect.Streamer)
-		if !ok && ms.drivers != nil {
-			st, ok = engine.StreamerOf(ms.drivers[i])
-		}
-		if !ok {
-			return
-		}
-		th, ok := d.(detect.Thresholder)
+// resolveStreamers fills streamers when every member supports the
+// streaming path; otherwise it stays nil.
+func (ms *modelSet) resolveStreamers() {
+	streamers := make([]detect.Streamer, ms.Len())
+	for i, d := range ms.Drivers() {
+		st, ok := engine.StreamerOf(d)
 		if !ok {
 			return
 		}
 		streamers[i] = st
-		thresholds[i] = th.DecisionThreshold()
 	}
 	ms.streamers = streamers
-	ms.thresholds = thresholds
 }
 
 // engineHealth snapshots per-engine name/version/health for /healthz and the
-// reload response. Static sets report the set version per member and are
-// always healthy (they predate the Health contract).
+// reload response.
 func (ms *modelSet) engineHealth() []EngineHealth {
-	out := make([]EngineHealth, len(ms.names))
-	for i, name := range ms.names {
-		eh := EngineHealth{Name: name, Version: ms.version, Healthy: true}
-		if ms.drivers != nil {
-			d := ms.drivers[i]
-			eh.Version = d.Version()
-			if err := d.Health(); err != nil {
-				eh.Healthy = false
-				eh.Error = err.Error()
-			}
+	out := make([]EngineHealth, ms.Len())
+	for i, d := range ms.Drivers() {
+		out[i] = EngineHealth{Name: d.Name(), Version: d.Version(), Healthy: true}
+		if err := d.Health(); err != nil {
+			out[i].Healthy = false
+			out[i].Error = err.Error()
 		}
-		out[i] = eh
 	}
 	return out
 }

@@ -66,21 +66,19 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 
 	prev := s.snap()
-	ms := newModelSetFromEngines(next, s.cfg.StreamThreshold < 0)
-	if s.registry != nil {
-		// Keep the registry in step with the serving snapshot; next is
-		// non-nil, so Swap cannot fail.
-		//lint:ignore snapshotonce Swap reads the old generation to return it; the reload path intentionally touches both generations, and scans never reach this handler
-		s.registry.Swap(next)
-	}
+	ms := newModelSet(next, s.cfg.StreamThreshold < 0)
+	// Keep the registry in step with the serving snapshot; next is non-nil,
+	// so Swap cannot fail.
+	//lint:ignore snapshotonce Swap reads the old generation to return it; the reload path intentionally touches both generations, and scans never reach this handler
+	s.cfg.Registry.Swap(next)
 	s.models.Store(ms)
 	purged := s.cache.purge()
 	s.metrics.CachePurged.Add(int64(purged))
 	s.metrics.Reloads.Add(1)
 	writeJSON(w, http.StatusOK, reloadResponse{
 		Swapped:         true,
-		PreviousVersion: prev.version,
-		ModelVersion:    ms.version,
+		PreviousVersion: prev.Version(),
+		ModelVersion:    ms.Version(),
 		Engines:         ms.engineHealth(),
 		ProbeSamples:    len(s.probes),
 		CachePurged:     purged,

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,32 +48,9 @@ func engineSet(t *testing.T, drivers ...engine.Driver) *engine.Set {
 	return set
 }
 
-// registryServer is newTestServer for registry-backed configs (which must not
-// carry the stub Detectors default).
-func registryServer(t *testing.T, cfg Config, initial *engine.Set) (*Server, *httptest.Server) {
-	t.Helper()
-	reg, err := engine.NewRegistry(initial)
-	if err != nil {
-		t.Fatalf("NewRegistry: %v", err)
-	}
-	cfg.Registry = reg
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
-	return s, ts
-}
-
 func TestReloadRequiresLoader(t *testing.T) {
 	initial := engineSet(t, &fakeEngine{name: "M", version: "vA", score: 0.25})
-	_, ts := registryServer(t, Config{}, initial)
+	_, ts := newTestServer(t, Config{Registry: stubRegistry(t, initial.Drivers()...)})
 	resp, body := postBytes(t, ts.URL+"/v1/models/reload", []byte("x"))
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("reload without loader: status %d (%s), want 501", resp.StatusCode, body)
@@ -91,9 +67,10 @@ func TestReloadSwapsGenerationAndPurgesCache(t *testing.T) {
 	setB := engineSet(t, &fakeEngine{name: "M", version: "vB", score: 0.75})
 	var pending atomic.Pointer[engine.Set]
 	pending.Store(setB)
-	s, ts := registryServer(t, Config{
-		Reload: func(path string) (*engine.Set, error) { return pending.Load(), nil },
-	}, setA)
+	s, ts := newTestServer(t, Config{
+		Reload:   func(path string) (*engine.Set, error) { return pending.Load(), nil },
+		Registry: stubRegistry(t, setA.Drivers()...),
+	})
 
 	raw := []byte("same content, two generations")
 	var before scanResponse
@@ -174,14 +151,15 @@ func TestReloadRejectsUncertifiableSets(t *testing.T) {
 	setA := engineSet(t, &fakeEngine{name: "M", version: "vA", score: 0.25})
 	var pending atomic.Pointer[engine.Set]
 	var loadErr atomic.Bool
-	s, ts := registryServer(t, Config{
+	s, ts := newTestServer(t, Config{
 		Reload: func(path string) (*engine.Set, error) {
 			if loadErr.Load() {
 				return nil, fmt.Errorf("model file corrupt")
 			}
 			return pending.Load(), nil
 		},
-	}, setA)
+		Registry: stubRegistry(t, setA.Drivers()...),
+	})
 
 	cases := []struct {
 		name string
@@ -225,12 +203,13 @@ func TestReloadRejectsUncertifiableSets(t *testing.T) {
 func TestReloadPassesPathOverride(t *testing.T) {
 	setA := engineSet(t, &fakeEngine{name: "M", version: "vA", score: 0.25})
 	var gotPath atomic.Value
-	_, ts := registryServer(t, Config{
+	_, ts := newTestServer(t, Config{
 		Reload: func(path string) (*engine.Set, error) {
 			gotPath.Store(path)
 			return setA, nil
 		},
-	}, setA)
+		Registry: stubRegistry(t, setA.Drivers()...),
+	})
 	resp, body := postBytes(t, ts.URL+"/v1/models/reload?path=/models/candidate", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload: status %d (%s)", resp.StatusCode, body)
@@ -273,10 +252,11 @@ func TestAttackJobReportsGenerationStraddle(t *testing.T) {
 		}
 		return &core.Result{Success: true, AE: original, Queries: 2, Rounds: 1}, nil
 	}
-	_, ts := registryServer(t, Config{
-		Attack: attack,
-		Reload: func(path string) (*engine.Set, error) { return pending.Load(), nil },
-	}, setA)
+	_, ts := newTestServer(t, Config{
+		Attack:   attack,
+		Reload:   func(path string) (*engine.Set, error) { return pending.Load(), nil },
+		Registry: stubRegistry(t, setA.Drivers()...),
+	})
 
 	resp, body := postBytes(t, ts.URL+"/v1/attack?target=M", []byte("victim"))
 	if resp.StatusCode != http.StatusAccepted {
@@ -315,18 +295,11 @@ func TestAttackJobReportsGenerationStraddle(t *testing.T) {
 // equal the original generation's must reproduce its version and its scores
 // bit for bit.
 func TestReloadUnderLoadDrill(t *testing.T) {
-	mkDriver := func(name string, seed int64) *engine.ConvDriver {
-		drv, err := engine.NewConvDriver(convDetector(t, name, seed))
-		if err != nil {
-			t.Fatalf("NewConvDriver: %v", err)
-		}
-		return drv
-	}
-	setA := engineSet(t, mkDriver("M", 1), mkDriver("N", 2))
-	setB := engineSet(t, mkDriver("M", 3), mkDriver("N", 4))
+	setA := engineSet(t, convDriver(t, "M", 1), convDriver(t, "N", 2))
+	setB := engineSet(t, convDriver(t, "M", 3), convDriver(t, "N", 4))
 	// Same construction, same seeds: byte-identical weights, so the driver
 	// digests — and the set version — must equal setA's.
-	setA2 := engineSet(t, mkDriver("M", 1), mkDriver("N", 2))
+	setA2 := engineSet(t, convDriver(t, "M", 1), convDriver(t, "N", 2))
 	if setA2.Version() != setA.Version() {
 		t.Fatalf("identical weights digest to different set versions: %s vs %s",
 			setA2.Version(), setA.Version())
@@ -352,12 +325,13 @@ func TestReloadUnderLoadDrill(t *testing.T) {
 
 	var pending atomic.Pointer[engine.Set]
 	pending.Store(setB)
-	_, ts := registryServer(t, Config{
+	_, ts := newTestServer(t, Config{
 		Attack:    loopingAttack(64),
 		Reload:    func(path string) (*engine.Set, error) { return pending.Load(), nil },
 		ScanQueue: 4096,
 		CacheSize: 4096,
-	}, setA)
+		Registry:  stubRegistry(t, setA.Drivers()...),
+	})
 
 	resp, body := postBytes(t, ts.URL+"/v1/attack?target=M", bodies[0])
 	if resp.StatusCode != http.StatusAccepted {

@@ -76,13 +76,11 @@ func MPassAttack(reg *engine.Registry, donors [][]byte, maxQueries int) AttackFu
 // Config sizes the serving pipeline. Zero values select the defaults noted
 // per field.
 type Config struct {
-	// Detectors is the resident suite; scan responses list models in this
-	// order. Exactly one of Detectors and Registry must be set.
-	Detectors []detect.Detector
-	// Registry supplies the resident models through the pluggable driver
-	// layer instead of Detectors: the serving snapshot is built from its
-	// current set, per-engine versions and health flow to /healthz, and
-	// POST /v1/models/reload can swap generations without a restart.
+	// Registry supplies the resident engines (required): the serving
+	// snapshot is built from its current set, scan responses list engines in
+	// set order, the set's content-addressed version and per-engine health
+	// flow to /healthz, and POST /v1/models/reload swaps generations in it
+	// without a restart.
 	Registry *engine.Registry
 	// Attack builds each /v1/attack job's attack run. Nil disables the
 	// attack endpoints (501).
@@ -100,13 +98,6 @@ type Config struct {
 	// finitely (and quant-consistently) before they may serve. Empty
 	// synthesizes a deterministic default when Reload is configured.
 	ProbeCorpus [][]byte
-
-	// ModelVersion identifies the resident weight set on /healthz (e.g. a
-	// digest of the model file). Empty derives a stable digest of the
-	// detector names, so fleet-consistency checks work even unconfigured.
-	// Registry-backed servers ignore it: their version is the engine set's
-	// own content-addressed version, which must move on reload.
-	ModelVersion string
 
 	// Batching. An interactive scan flushes as soon as the queue is drained,
 	// and a flush scores its engines in parallel. BatchWindow paces only
@@ -132,8 +123,7 @@ type Config struct {
 	// O(StreamChunk) instead of O(body). Scores equal the buffered path
 	// bit for bit (detect's streaming equivalence gate). StreamThreshold
 	// defaults to 1 MiB; negative disables streaming, and it is also off
-	// when any configured detector lacks a streaming scorer or decision
-	// threshold. StreamChunk is the read size (default 256 KiB).
+	// when any resident engine lacks a streaming scorer. StreamChunk is the read size (default 256 KiB).
 	// MaxStreamBytes caps a streamed upload (default 64 MiB; beyond = 413).
 	StreamThreshold int64
 	StreamChunk     int
@@ -262,10 +252,9 @@ type Server struct {
 	jobs    *jobRegistry
 
 	// models is the active generation; every request path resolves the
-	// resident set through one atomic load (models.go). registry, when
-	// configured, is kept in step with it across reloads.
-	models   atomic.Pointer[modelSet]
-	registry *engine.Registry
+	// resident set through one atomic load (models.go). cfg.Registry is
+	// kept in step with it across reloads.
+	models atomic.Pointer[modelSet]
 
 	// reloadMu serializes POST /v1/models/reload; probes is the frozen
 	// certification corpus.
@@ -281,27 +270,16 @@ type Server struct {
 // New validates cfg, starts the batching dispatcher and the attack worker
 // pool, and returns the ready-to-serve Server.
 func New(cfg Config) (*Server, error) {
-	if cfg.Registry != nil && len(cfg.Detectors) > 0 {
-		return nil, fmt.Errorf("server: configure Detectors or Registry, not both")
+	if cfg.Registry == nil {
+		return nil, fmt.Errorf("server: no engine registry configured")
 	}
 	cfg.fillDefaults()
 	s := &Server{
-		cfg:      cfg,
-		cache:    newScoreCache(cfg.CacheSize),
-		registry: cfg.Registry,
-		started:  time.Now(),
+		cfg:     cfg,
+		cache:   newScoreCache(cfg.CacheSize),
+		started: time.Now(),
 	}
-	var ms *modelSet
-	if cfg.Registry != nil {
-		ms = newModelSetFromEngines(cfg.Registry.Current(), cfg.StreamThreshold < 0)
-	} else {
-		var err error
-		ms, err = newModelSetStatic(cfg.Detectors, cfg.ModelVersion, cfg.StreamThreshold < 0)
-		if err != nil {
-			return nil, err
-		}
-	}
-	s.models.Store(ms)
+	s.models.Store(newModelSet(cfg.Registry.Current(), cfg.StreamThreshold < 0))
 	if cfg.Reload != nil {
 		s.probes = cfg.ProbeCorpus
 		if len(s.probes) == 0 {
@@ -354,7 +332,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // (internal oracle traffic) over shedding (interactive requests).
 func (s *Server) scan(ctx context.Context, ms *modelSet, raw []byte, wait bool) (scanOut, [32]byte, bool, error) {
 	sum := sha256.Sum256(raw)
-	if out, ok := s.cache.get(scoreKey{version: ms.version, sum: sum}); ok {
+	if out, ok := s.cache.get(scoreKey{version: ms.Version(), sum: sum}); ok {
 		s.metrics.CacheHits.Add(1)
 		return out, sum, true, nil
 	}
@@ -373,11 +351,11 @@ func (s *Server) scan(ctx context.Context, ms *modelSet, raw []byte, wait bool) 
 	// reload lands between the lookup above and here, the result keys under
 	// the old version — which no lookup will ever hit again — instead of
 	// poisoning the new generation's segment.
-	s.cache.put(scoreKey{version: out.set.version, sum: sum}, out)
+	s.cache.put(scoreKey{version: out.set.Version(), sum: sum}, out)
 	return out, sum, false, nil
 }
 
-// scanModelResult is one detector's verdict in a scan response.
+// scanModelResult is one engine's verdict in a scan response.
 type scanModelResult struct {
 	Model     string  `json:"model"`
 	Score     float64 `json:"score"`
@@ -445,9 +423,9 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		SHA256:       hex.EncodeToString(key[:]),
 		Size:         len(raw),
 		Cached:       cached,
-		ModelVersion: out.set.version,
+		ModelVersion: out.set.Version(),
 	}
-	for i, name := range out.set.names {
+	for i, name := range out.set.Names() {
 		resp.Results = append(resp.Results, scanModelResult{
 			Model: name, Score: out.Scores[i], Malicious: out.Labels[i],
 		})
@@ -481,25 +459,24 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 		defer grant.Release()
 		tenantName = grant.Tenant()
 	}
-	// The submit-time snapshot pins the target detector and records the
+	// The submit-time snapshot pins the target engine and records the
 	// generation the job started against; oracle queries still flow through
 	// the live pipeline, so the job view can report both versions when a
 	// reload lands mid-attack.
 	ms := s.snap()
 	targetName := r.URL.Query().Get("target")
 	if targetName == "" {
-		targetName = ms.names[0]
+		targetName = ms.Names()[0]
 	}
-	idx, ok := ms.byName[targetName]
+	target, ok := ms.Get(targetName)
 	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown target %q (have %v)", targetName, ms.names))
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown target %q (have %v)", targetName, ms.Names()))
 		return
 	}
 	raw, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
-	target := ms.dets[idx]
 	// Oracle stack, innermost out: resident scan pipeline -> optional fault
 	// wrapper (tests, -fault-* flags) -> retry + circuit breaker -> the
 	// attack's own query counter (added by the AttackFunc caller below).
@@ -510,7 +487,7 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 		oracle = s.cfg.OracleWrap(oracle)
 	}
 	seed := s.cfg.Seed + s.seedSeq.Add(1)*7919
-	id, err := s.jobs.submit(targetName, ms.version, tenantName, func(ctx context.Context, h *jobHandle) {
+	id, err := s.jobs.submit(targetName, ms.Version(), tenantName, func(ctx context.Context, h *jobHandle) {
 		retrying := &retryOracle{
 			inner:      oracle,
 			attempts:   s.cfg.OracleAttempts,

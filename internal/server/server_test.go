@@ -15,16 +15,15 @@ import (
 
 	"mpass/internal/core"
 	"mpass/internal/detect"
+	"mpass/internal/engine"
 )
 
-// newTestServer builds a Server on stub detectors with an httptest frontend.
+// newTestServer builds a Server with an httptest frontend. cfg.Registry
+// defaults to the stub engines A and B.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Detectors == nil {
-		cfg.Detectors = []detect.Detector{
-			&stubDetector{name: "A", thr: 0.5},
-			&stubDetector{name: "B", thr: 0.2},
-		}
+	if cfg.Registry == nil {
+		cfg.Registry = stubRegistry(t)
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -68,11 +67,11 @@ func getJSON(t *testing.T, url string, v any) *http.Response {
 }
 
 func TestScanEndpointParityAndCache(t *testing.T) {
-	dets := []detect.Detector{
-		&stubDetector{name: "A", thr: 0.5},
-		&stubDetector{name: "B", thr: 0.2},
+	dets := []engine.Driver{
+		&stubDriver{name: "A", thr: 0.5},
+		&stubDriver{name: "B", thr: 0.2},
 	}
-	s, ts := newTestServer(t, Config{Detectors: dets})
+	s, ts := newTestServer(t, Config{Registry: stubRegistry(t, dets...)})
 
 	raw := []byte("definitely a portable executable")
 	resp, body := postBytes(t, ts.URL+"/v1/scan", raw)
@@ -310,12 +309,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 
 func TestNewRejectsBadConfigs(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
-		t.Fatal("New accepted a config with no detectors")
-	}
-	_, err := New(Config{Detectors: []detect.Detector{
-		&stubDetector{name: "dup"}, &stubDetector{name: "dup"},
-	}})
-	if err == nil {
-		t.Fatal("New accepted duplicate detector names")
+		t.Fatal("New accepted a config with no engine registry")
 	}
 }

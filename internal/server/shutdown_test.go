@@ -17,11 +17,10 @@ import (
 // requests immediately, let both in-flight pieces finish, and return within
 // the drain deadline.
 func TestGracefulShutdownDrainsInFlightWork(t *testing.T) {
-	inner := &stubDetector{name: "A", thr: 0.5}
-	gate := &gatedDetector{
-		Detector: inner,
-		entered:  make(chan int, 8),
-		release:  make(chan struct{}, 8),
+	gate := &gatedDriver{
+		Driver:  &stubDriver{name: "A", thr: 0.5},
+		entered: make(chan int, 8),
+		release: make(chan struct{}, 8),
 	}
 	attackStarted := make(chan struct{})
 	attackRelease := make(chan struct{})
@@ -35,8 +34,8 @@ func TestGracefulShutdownDrainsInFlightWork(t *testing.T) {
 	}
 
 	s, err := New(Config{
-		Detectors: []detect.Detector{gate},
-		Attack:    blockingAttack,
+		Registry: stubRegistry(t, gate),
+		Attack:   blockingAttack,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -142,7 +141,7 @@ func TestShutdownDeadlineExpiresOnStuckJob(t *testing.T) {
 	stuck := make(chan struct{})
 	t.Cleanup(func() { close(stuck) })
 	s, err := New(Config{
-		Detectors: []detect.Detector{&stubDetector{name: "A", thr: 0.5}},
+		Registry: stubRegistry(t, &stubDriver{name: "A", thr: 0.5}),
 		// This attack ignores its context entirely — the worst-behaved job the
 		// drain contract must still bound.
 		Attack: func(ctx context.Context, target detect.Detector, original []byte, oracle core.Oracle, seed int64) (*core.Result, error) {

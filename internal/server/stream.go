@@ -99,12 +99,12 @@ func (s *Server) handleScanStream(w http.ResponseWriter, r *http.Request, ms *mo
 
 	scores := finish()
 	out := scanOut{Scores: scores, Labels: make([]bool, len(scores)), set: ms}
-	for i, sc := range scores {
-		out.Labels[i] = sc >= ms.thresholds[i]
+	for i, d := range ms.Drivers() {
+		out.Labels[i] = scores[i] >= d.Threshold()
 	}
 	var sum [32]byte
 	hasher.Sum(sum[:0])
-	s.cache.put(scoreKey{version: ms.version, sum: sum}, out)
+	s.cache.put(scoreKey{version: ms.Version(), sum: sum}, out)
 
 	s.metrics.ScansStreamed.Add(1)
 	s.metrics.StreamedBytes.Add(total)
@@ -117,9 +117,9 @@ func (s *Server) handleScanStream(w http.ResponseWriter, r *http.Request, ms *mo
 	resp := scanResponse{
 		SHA256:       hex.EncodeToString(sum[:]),
 		Size:         int(total),
-		ModelVersion: ms.version,
+		ModelVersion: ms.Version(),
 	}
-	for i, name := range ms.names {
+	for i, name := range ms.Names() {
 		resp.Results = append(resp.Results, scanModelResult{
 			Model: name, Score: out.Scores[i], Malicious: out.Labels[i],
 		})

@@ -10,19 +10,19 @@ import (
 	"runtime"
 	"testing"
 
-	"mpass/internal/detect"
+	"mpass/internal/engine"
 )
 
-// streamServer builds a server on real ConvDetectors (which implement the
+// streamServer builds a server on real conv engines (which implement the
 // streaming scorer) with a tiny streaming threshold so small test bodies
 // take the O(chunk) path.
-func streamServer(t *testing.T, cfg Config) (*Server, string, []detect.Detector) {
+func streamServer(t *testing.T, cfg Config) (*Server, string, []engine.Driver) {
 	t.Helper()
-	dets := []detect.Detector{
-		convDetector(t, "A", 1),
-		convDetector(t, "B", 2),
+	dets := []engine.Driver{
+		convDriver(t, "A", 1),
+		convDriver(t, "B", 2),
 	}
-	cfg.Detectors = dets
+	cfg.Registry = stubRegistry(t, dets...)
 	s, ts := newTestServer(t, cfg)
 	return s, ts.URL, dets
 }
@@ -72,7 +72,7 @@ func TestScanStreamMatchesBuffered(t *testing.T) {
 	}
 	// The streamed result is visible to the buffered pipeline's cache,
 	// filed under the generation that streamed it.
-	out, ok := s.cache.get(scoreKey{version: s.snap().version, sum: sum})
+	out, ok := s.cache.get(scoreKey{version: s.snap().Version(), sum: sum})
 	if !ok {
 		t.Fatal("streamed scan result not cached")
 	}

@@ -54,13 +54,13 @@ wait_addr() {
 	done
 }
 
-# Replica 0 trains (small corpus) and persists models.gob; replica 1 loads
-# the same file. Both serve the scenarios/tenants.json allowlist.
+# Replica 0 trains (small corpus) and persists the models/ envelope
+# directory; replica 1 loads the same directory. Both serve the scenarios/tenants.json allowlist.
 n=0
 replicas=""
 for ra in 127.0.0.1:0 127.0.0.1:0; do
 	"$tmp/mpassd" -addr "$ra" -addr-file "$tmp/r$n.addr" \
-		-models "$tmp/models.gob" -malware 24 -benign 24 \
+		-models "$tmp/models" -malware 24 -benign 24 \
 		-max-queries 40 -tenants scenarios/tenants.json -drain 30s >&2 &
 	pid=$!
 	pids="$pids $pid"

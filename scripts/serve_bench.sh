@@ -20,9 +20,6 @@ set -eu
 mode="${1:-smoke}"
 daemonflags=""
 loadflags=""
-# Legacy monolithic gob by default; the reload mode overrides this with a
-# directory so mpassd persists (and reloads) per-engine envelopes instead.
-models="models.gob"
 case "$mode" in
 	smoke)
 		mal=24; ben=24; clients=4; requests=120; attacks=1
@@ -47,12 +44,11 @@ case "$mode" in
 		;;
 	reload)
 		mal=24; ben=24; clients=4; requests=200; attacks=1
-		# The model path is a directory, so mpassd persists per-engine
-		# envelopes at boot and the reload loader re-reads them — identical
-		# bytes, so the drill also proves a same-weights swap is
-		# score-invisible. int32 serving makes every swap pass the quant
-		# parity certification, not just the health/finite gates.
-		models="models"
+		# mpassd persists per-engine envelopes to its model directory at
+		# boot and the reload loader re-reads them — identical bytes, so the
+		# drill also proves a same-weights swap is score-invisible. int32
+		# serving makes every swap pass the quant parity certification, not
+		# just the health/finite gates.
 		daemonflags="-quant int32"
 		loadflags="-reload 3 -bench-name ServeReload"
 		;;
@@ -79,7 +75,7 @@ go build -o "$tmp/mpass-load" ./cmd/mpass-load
 # (quant serving in smoke, fault injection in faults).
 # shellcheck disable=SC2086
 "$tmp/mpassd" -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
-	-models "$tmp/$models" -malware "$mal" -benign "$ben" \
+	-models "$tmp/models" -malware "$mal" -benign "$ben" \
 	-max-queries 40 -drain 30s $daemonflags >&2 &
 pid=$!
 

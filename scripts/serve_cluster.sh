@@ -1,7 +1,7 @@
 #!/bin/sh
 # serve_cluster.sh — boot a 3-replica mpassd fleet behind mpass-gateway.
-# Replica 0 trains the suite once and saves models.gob; the other replicas
-# load the same file, so the fleet serves one model version and boots in
+# Replica 0 trains the suite once and saves it to the models/ envelope
+# directory; the other replicas load the same directory, so the fleet serves one model version and boots in
 # milliseconds after the single training run. No curl: mpass-load does the
 # /healthz preflight, the scan burst, and the cluster /metrics checks.
 #
@@ -68,13 +68,14 @@ wait_addr() {
 	done
 }
 
-# Replica 0 trains (small corpus) and persists models.gob; it listens only
-# after the save, so waiting for its address also waits for the model file.
+# Replica 0 trains (small corpus) and persists the models/ envelope
+# directory; it listens only after the save, so waiting for its address
+# also waits for the model files.
 n=0
 replicas=""
 for ra in $raddrs; do
 	"$tmp/mpassd" -addr "$ra" -addr-file "$tmp/r$n.addr" \
-		-models "$tmp/models.gob" -malware 24 -benign 24 \
+		-models "$tmp/models" -malware 24 -benign 24 \
 		-max-queries 40 -drain 30s >&2 &
 	pid=$!
 	pids="$pids $pid"
