@@ -10,21 +10,16 @@ PARALLEL_PKGS = ./internal/parallel ./internal/tensor ./internal/nn \
                 ./internal/shapley ./internal/detect ./internal/av \
                 ./internal/server ./internal/features ./internal/gateway \
                 ./internal/faultinject ./internal/engine ./internal/analysis \
-                ./internal/tenant
+                ./internal/tenant ./cmd/mpass-load
 
-# BENCH_N.json names follow the PR sequence and are append-only history:
-# benchjson refuses to overwrite an existing trajectory file, so a new run
-# bumps the number (or passes FORCE_BENCH=1 to regenerate in place).
-BENCH_JSON ?= BENCH_4.json
-SERVE_BENCH_JSON ?= BENCH_5.json
-CLUSTER_BENCH_JSON ?= BENCH_6.json
-RELOAD_BENCH_JSON ?= BENCH_7.json
-LINT_BENCH_JSON ?= BENCH_8.json
-SCENARIO_BENCH_JSON ?= BENCH_9.json
-BENCHJSON_FORCE = $(if $(FORCE_BENCH),-force,)
+# Build outputs and gate inputs live here (git-ignored); gates write nothing
+# else. The serving drills run mpass-load from $(BIN), next to the mpassd
+# and mpass-gateway binaries it execs.
+BUILD = .build
+BIN = $(BUILD)/bin
 
 .PHONY: all build vet lint lint-bench test race race-all bench bench-full \
-        bench-json quant-gate alloc serve-smoke serve-faults reload-smoke \
+        quant-gate alloc loadbins serve-smoke serve-faults reload-smoke \
         cluster-smoke scenario-gate perfbench perfbench-test ci
 
 all: build
@@ -48,12 +43,13 @@ lint:
 
 # lint-bench gates the dataflow round's cost: a full 11-analyzer run over
 # the loaded tree must stay within 2x of the PR 4 per-file baseline
-# (ns(baseline)/ns(full) >= 0.5). Writes $(LINT_BENCH_JSON) on first run
-# (append-only; FORCE_BENCH=1 regenerates).
+# (ns(baseline)/ns(full) >= 0.5).
 lint-bench:
+	@mkdir -p $(BUILD)
 	$(GO) test -run '^$$' -bench 'Lint(Baseline|Full)$$' -benchtime=3x -count=1 \
-		./internal/analysis | $(GO) run ./cmd/benchjson $(BENCHJSON_FORCE) \
-		-gate 'BenchmarkLintBaseline,BenchmarkLintFull,0.5' -out $(LINT_BENCH_JSON)
+		./internal/analysis > $(BUILD)/lint-bench.txt || { cat $(BUILD)/lint-bench.txt; exit 1; }
+	$(GO) run ./cmd/benchjson -gate 'BenchmarkLintBaseline,BenchmarkLintFull,0.5' \
+		< $(BUILD)/lint-bench.txt
 
 test:
 	$(GO) test ./...
@@ -78,14 +74,6 @@ bench:
 bench-full:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# bench-json runs the inference-engine benchmarks and a serving-layer load
-# run, writing machine-readable reports for regression diffing.
-bench-json:
-	$(GO) test -run '^$$' \
-		-bench 'DetectorPredict$$|DetectorPredictQuant$$|StreamScore$$|InputGradient$$|ShapleySample$$' \
-		-benchmem -count=1 . | $(GO) run ./cmd/benchjson $(BENCHJSON_FORCE) -out $(BENCH_JSON)
-	sh scripts/serve_bench.sh bench | $(GO) run ./cmd/benchjson $(BENCHJSON_FORCE) -out $(SERVE_BENCH_JSON)
-
 # quant-gate is the fixed-point speedup gate: the int32 quantized table
 # path must beat the float64 table path by >= 1.3x, measured in a single
 # `go test -bench` run on the serving-size network so machine noise
@@ -93,45 +81,42 @@ bench-json:
 # label flips on the eval corpus — are ordinary tests in internal/nn and
 # internal/detect.)
 quant-gate:
+	@mkdir -p $(BUILD)
 	$(GO) test -run '^$$' -bench 'PredictTable(Float|Quant32)$$' -count=1 \
-		./internal/nn | $(GO) run ./cmd/benchjson \
-		-gate 'BenchmarkPredictTableFloat,BenchmarkPredictTableQuant32,1.3' >/dev/null
+		./internal/nn > $(BUILD)/quant-gate.txt || { cat $(BUILD)/quant-gate.txt; exit 1; }
+	$(GO) run ./cmd/benchjson -gate 'BenchmarkPredictTableFloat,BenchmarkPredictTableQuant32,1.3' \
+		< $(BUILD)/quant-gate.txt
 
-# serve-smoke boots mpassd on a random port, drives it with mpass-load
-# (healthz preflight, scan burst, one attack job, /metrics cross-check), and
-# verifies a graceful SIGTERM drain.
-serve-smoke:
-	sh scripts/serve_bench.sh smoke
+# The serving drills. Each is a scenarios/*.json file that mpass-load boots
+# (mpassd replicas, optionally behind mpass-gateway), drives, judges and
+# drains with SIGTERM; a violated threshold or invariant exits 3. See
+# DESIGN.md "Load generation" for the DSL and the always-on invariants.
+loadbins:
+	$(GO) build -o $(BIN)/ ./cmd/mpassd ./cmd/mpass-gateway ./cmd/mpass-load
 
-# serve-faults is the resilience drill: mpassd runs with deterministic
-# oracle fault injection (hangs, transient errors, latency) and mpass-load
-# -faults verifies every attack job still reaches a terminal state, then the
-# SIGTERM drain must complete within its deadline.
-serve-faults:
-	sh scripts/serve_bench.sh faults
+# serve-smoke: int32 serving, a 4-client scan burst, one attack job that
+# must end done, and a 2 MiB chunked upload /metrics must have streamed.
+serve-smoke: loadbins
+	$(BIN)/mpass-load scenarios/serve-smoke.json
 
-# reload-smoke is the zero-downtime hot-reload drill: mpassd persists its
-# engines as a per-engine envelope directory, then mpass-load -reload swaps
-# model generations from inside a sustained scan burst — every swap must
-# certify (health, finite probes, int32 quant parity) and land, every scan
-# response must carry a generation the server really served, and /healthz
-# and /metrics must agree with the last swap. Writes $(RELOAD_BENCH_JSON)
-# on first run (append-only; FORCE_BENCH=1 regenerates).
-reload-smoke:
-	sh scripts/serve_bench.sh reload | $(GO) run ./cmd/benchjson \
-		$(BENCHJSON_FORCE) -out $(RELOAD_BENCH_JSON)
+# serve-faults: mpassd injects oracle hangs, transient errors and latency;
+# every attack job must still reach a terminal state (failed is allowed)
+# and the drain must complete.
+serve-faults: loadbins
+	$(BIN)/mpass-load scenarios/serve-faults.json
 
-# cluster-smoke boots 3 mpassd replicas behind mpass-gateway (one training
-# run, one shared models/ envelope directory), compares a single-replica
-# burst against the same burst through the gateway (host-aware speedup
-# gate — 2.5x on >= 4 CPUs, a sanity bound on smaller hosts), enforces the shard-affinity checks
-# (per-replica cache-hit ratio >= 0.9, misses near the distinct-sample
-# count), and runs a replica kill drill: SIGKILL one replica and require
-# zero failed scans while the ring re-shards. Writes $(CLUSTER_BENCH_JSON)
-# on first run.
-cluster-smoke:
-	CLUSTER_BENCH_JSON=$(CLUSTER_BENCH_JSON) FORCE_BENCH=$(FORCE_BENCH) \
-		sh scripts/serve_cluster.sh smoke
+# reload-smoke: three model hot-reloads inside a scan burst; every swap must
+# certify and land, every scan must carry a generation the server really
+# served, and /healthz must agree with the last swap.
+reload-smoke: loadbins
+	$(BIN)/mpass-load scenarios/reload-smoke.json
+
+# cluster-smoke: 3 replicas behind the gateway sharing one models/ directory;
+# a single-replica burst against a gateway burst (host-aware scale-out
+# bound), the shard-affinity bounds, attack jobs through the gateway, and a
+# SIGKILL drill that must lose no scan while the ring re-shards.
+cluster-smoke: loadbins
+	$(BIN)/mpass-load scenarios/cluster-smoke.json
 
 # alloc is the allocation-regression gate: the scoring and gradient hot
 # paths — float, quantized, and streaming — must stay zero-allocation in
@@ -139,17 +124,17 @@ cluster-smoke:
 alloc:
 	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/nn
 
-# scenario-gate is the multi-tenant serving gate: a 2-replica fleet with
-# the scenarios/tenants.json allowlist behind the gateway runs the
-# noisy-neighbor scenario (phased multi-tenant contention, mixed
-# scan/cachemiss/attack/stream traffic) and enforces its thresholds —
-# p99, shed rate, per-tenant fairness bound, correctness == 1.0,
-# Retry-After >= 1 on every 429. A negative drill first proves a broken
-# threshold exits non-zero, then a SIGHUP drill proves the allowlist
-# hot-reload keeps auth closed. Writes $(SCENARIO_BENCH_JSON) on first run.
-scenario-gate:
-	SCENARIO_BENCH_JSON=$(SCENARIO_BENCH_JSON) FORCE_BENCH=$(FORCE_BENCH) \
-		sh scripts/scenario_gate.sh
+# scenario-gate is the multi-tenant serving gate: the noisy-neighbor
+# scenario (2 replicas with the scenarios/tenants.json allowlist behind the
+# gateway; p99, shed rate, fairness, correctness) must pass, and first must
+# fail with exit 3 under an impossible p99 bound — proof that a violated
+# threshold fails CI. tenant-reload then SIGHUPs a replica and requires
+# authenticated traffic to keep flowing and every anonymous request to 401.
+scenario-gate: loadbins
+	$(BIN)/mpass-load -scenario-max-p99 1ns scenarios/noisy-neighbor.json; \
+		test $$? -eq 3 || { echo "scenario-gate: an impossible p99 bound did not fail the run" >&2; exit 1; }
+	$(BIN)/mpass-load scenarios/noisy-neighbor.json
+	$(BIN)/mpass-load scenarios/tenant-reload.json
 
 # perfbench is the repository benchmark (perfbench/README.md): every
 # workload untraced, then traced, on loopback servers in one process.

@@ -1,20 +1,18 @@
-// Command benchjson converts `go test -bench` text output on stdin into a
-// machine-readable JSON report, so CI can diff benchmark runs without
-// scraping logs:
+// Command benchjson is the speedup gate behind `make quant-gate` and
+// `make lint-bench`. It reads `go test -bench` text output on stdin and
+// requires one benchmark to beat another by a minimum factor:
 //
-//	go test -run '^$' -bench 'Predict$' -benchmem . | go run ./cmd/benchjson -out BENCH.json
+//	go test -run '^$' -bench 'PredictTable(Float|Quant32)$' ./internal/nn > bench.txt
+//	go run ./cmd/benchjson -gate 'BenchmarkPredictTableFloat,BenchmarkPredictTableQuant32,1.3' < bench.txt
 //
 // Each benchmark line ("BenchmarkName-8  1814  1545457 ns/op  17120 B/op
-// 8 allocs/op  12.3 custom/metric") becomes one record keyed by the
-// benchmark name with the GOMAXPROCS suffix stripped. The three standard
-// units get first-class fields; anything else (b.ReportMetric output) lands
-// in "metrics". Non-benchmark lines pass through to stderr so failures stay
-// visible in the pipeline.
+// 8 allocs/op") contributes its ns/op, keyed by the benchmark name with the
+// GOMAXPROCS suffix stripped. Non-benchmark lines pass through to stderr so
+// failures stay visible. The gate writes nothing but its verdict.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -22,69 +20,34 @@ import (
 	"strings"
 )
 
-// Result is one parsed benchmark line.
-type Result struct {
-	Name        string             `json:"name"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  *float64           `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-}
-
-// Report is the top-level JSON document.
-type Report struct {
-	Benchmarks []Result `json:"benchmarks"`
-}
-
-// parseLine parses one "Benchmark..." output line; ok is false for any
-// other line (headers, PASS, ok, failures).
-func parseLine(line string) (Result, bool) {
+// parseLine reads the name and ns/op of one "Benchmark..." output line; ok
+// is false for any other line (headers, PASS, ok, failures).
+func parseLine(line string) (name string, nsPerOp float64, ok bool) {
 	fields := strings.Fields(line)
-	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return Result{}, false
+	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") || fields[3] != "ns/op" {
+		return "", 0, false
 	}
-	iters, err := strconv.ParseInt(fields[1], 10, 64)
+	if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+		return "", 0, false
+	}
+	ns, err := strconv.ParseFloat(fields[2], 64)
 	if err != nil {
-		return Result{}, false
+		return "", 0, false
 	}
-	name := fields[0]
+	name = fields[0]
 	// Strip the -GOMAXPROCS suffix go test appends.
 	if i := strings.LastIndex(name, "-"); i > 0 {
 		if _, err := strconv.Atoi(name[i+1:]); err == nil {
 			name = name[:i]
 		}
 	}
-	r := Result{Name: name, Iterations: iters}
-	// Remaining fields come in (value, unit) pairs.
-	for i := 2; i+1 < len(fields); i += 2 {
-		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
-			return Result{}, false
-		}
-		switch unit := fields[i+1]; unit {
-		case "ns/op":
-			r.NsPerOp = v
-		case "B/op":
-			b := v
-			r.BytesPerOp = &b
-		case "allocs/op":
-			a := v
-			r.AllocsPerOp = &a
-		default:
-			if r.Metrics == nil {
-				r.Metrics = map[string]float64{}
-			}
-			r.Metrics[unit] = v
-		}
-	}
-	return r, true
+	return name, ns, true
 }
 
 // checkGate enforces a speedup requirement of the form "BASE,NEW,MIN":
-// the report must contain benchmarks BASE and NEW, and BASE's ns/op must
-// be at least MIN times NEW's. It returns the achieved ratio.
-func checkGate(rep *Report, spec string) (float64, error) {
+// nsPerOp must hold benchmarks BASE and NEW, and BASE's ns/op must be at
+// least MIN times NEW's. It returns the achieved ratio.
+func checkGate(nsPerOp map[string]float64, spec string) (float64, error) {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 3 {
 		return 0, fmt.Errorf("gate spec %q: want BASE,NEW,MIN", spec)
@@ -93,46 +56,41 @@ func checkGate(rep *Report, spec string) (float64, error) {
 	if err != nil || min <= 0 {
 		return 0, fmt.Errorf("gate spec %q: bad minimum speedup %q", spec, parts[2])
 	}
-	find := func(name string) (Result, error) {
-		for _, r := range rep.Benchmarks {
-			if r.Name == name {
-				return r, nil
-			}
-		}
-		return Result{}, fmt.Errorf("gate: benchmark %q not in input", name)
+	baseName, nextName := strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])
+	base, ok := nsPerOp[baseName]
+	if !ok {
+		return 0, fmt.Errorf("gate: benchmark %q not in input", baseName)
 	}
-	base, err := find(strings.TrimSpace(parts[0]))
-	if err != nil {
-		return 0, err
+	next, ok := nsPerOp[nextName]
+	if !ok {
+		return 0, fmt.Errorf("gate: benchmark %q not in input", nextName)
 	}
-	next, err := find(strings.TrimSpace(parts[1]))
-	if err != nil {
-		return 0, err
+	if next <= 0 {
+		return 0, fmt.Errorf("gate: %s has non-positive ns/op", nextName)
 	}
-	if next.NsPerOp <= 0 {
-		return 0, fmt.Errorf("gate: %s has non-positive ns/op", next.Name)
-	}
-	ratio := base.NsPerOp / next.NsPerOp
+	ratio := base / next
 	if ratio < min {
 		return ratio, fmt.Errorf("gate: %s is %.2fx faster than %s, need >= %.2fx",
-			next.Name, ratio, base.Name, min)
+			nextName, ratio, baseName, min)
 	}
 	return ratio, nil
 }
 
 func main() {
-	out := flag.String("out", "", "output file (default stdout)")
-	force := flag.Bool("force", false, "overwrite an existing -out file")
 	gate := flag.String("gate", "", "speedup gate 'BASE,NEW,MIN': require ns/op(BASE)/ns/op(NEW) >= MIN, exit 1 otherwise")
 	flag.Parse()
+	if *gate == "" {
+		fmt.Fprintln(os.Stderr, "usage: benchjson -gate BASE,NEW,MIN < bench-output")
+		os.Exit(2)
+	}
 
-	var rep Report
+	nsPerOp := map[string]float64{}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		if r, ok := parseLine(line); ok {
-			rep.Benchmarks = append(rep.Benchmarks, r)
+		if name, ns, ok := parseLine(line); ok {
+			nsPerOp[name] = ns
 		} else if s := strings.TrimSpace(line); s != "" {
 			fmt.Fprintln(os.Stderr, line)
 		}
@@ -141,42 +99,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
 		os.Exit(1)
 	}
-	if len(rep.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
-	}
-
-	if *gate != "" {
-		ratio, err := checkGate(&rep, *gate)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: gate %s ok (%.2fx)\n", *gate, ratio)
-	}
-
-	// Trajectory files (BENCH_<n>.json) are append-only history: a new run
-	// gets a new number, never silently replaces an old one.
-	if *out != "" && !*force {
-		if _, err := os.Stat(*out); err == nil {
-			fmt.Fprintf(os.Stderr,
-				"benchjson: %s already exists; pick a new trajectory file or pass -force\n", *out)
-			os.Exit(1)
-		}
-	}
-
-	enc, err := json.MarshalIndent(rep, "", "  ")
+	ratio, err := checkGate(nsPerOp, *gate)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	enc = append(enc, '\n')
-	if *out == "" {
-		os.Stdout.Write(enc)
-		return
-	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
+	fmt.Fprintf(os.Stderr, "benchjson: gate %s ok (%.2fx)\n", *gate, ratio)
 }

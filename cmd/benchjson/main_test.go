@@ -3,28 +3,16 @@ package main
 import "testing"
 
 func TestParseLine(t *testing.T) {
-	r, ok := parseLine("BenchmarkDetectorPredict-8   \t    1814\t   1545457 ns/op\t   17120 B/op\t       8 allocs/op")
-	if !ok {
-		t.Fatal("benchmark line rejected")
-	}
-	if r.Name != "BenchmarkDetectorPredict" || r.Iterations != 1814 || r.NsPerOp != 1545457 {
-		t.Fatalf("parsed %+v", r)
-	}
-	if r.BytesPerOp == nil || *r.BytesPerOp != 17120 || r.AllocsPerOp == nil || *r.AllocsPerOp != 8 {
-		t.Fatalf("memory stats wrong: %+v", r)
+	name, ns, ok := parseLine("BenchmarkDetectorPredict-8   \t    1814\t   1545457 ns/op\t   17120 B/op\t       8 allocs/op")
+	if !ok || name != "BenchmarkDetectorPredict" || ns != 1545457 {
+		t.Fatalf("parsed %q %v %v", name, ns, ok)
 	}
 
-	// Custom b.ReportMetric units land in Metrics; sub-benchmark names keep
-	// their slash but lose only the trailing -GOMAXPROCS.
-	r, ok = parseLine("BenchmarkTrainBatchParallel/workers=4-8  12  9000000 ns/op  1234.5 samples/sec")
-	if !ok {
-		t.Fatal("sub-benchmark line rejected")
-	}
-	if r.Name != "BenchmarkTrainBatchParallel/workers=4" {
-		t.Fatalf("name = %q", r.Name)
-	}
-	if r.Metrics["samples/sec"] != 1234.5 {
-		t.Fatalf("metrics = %v", r.Metrics)
+	// Sub-benchmark names keep their slash but lose only the trailing
+	// -GOMAXPROCS.
+	name, ns, ok = parseLine("BenchmarkTrainBatchParallel/workers=4-8  12  9000000 ns/op  1234.5 samples/sec")
+	if !ok || name != "BenchmarkTrainBatchParallel/workers=4" || ns != 9000000 {
+		t.Fatalf("parsed %q %v %v", name, ns, ok)
 	}
 
 	for _, line := range []string{
@@ -33,20 +21,18 @@ func TestParseLine(t *testing.T) {
 		"ok  \tmpass\t1.2s",
 		"",
 		"--- FAIL: TestX",
+		"BenchmarkX-8  12  fast ns/op",
 	} {
-		if _, ok := parseLine(line); ok {
+		if _, _, ok := parseLine(line); ok {
 			t.Errorf("non-benchmark line %q accepted", line)
 		}
 	}
 }
 
 func TestCheckGate(t *testing.T) {
-	rep := &Report{Benchmarks: []Result{
-		{Name: "BenchmarkFloat", NsPerOp: 400},
-		{Name: "BenchmarkQuant", NsPerOp: 250},
-	}}
+	nsPerOp := map[string]float64{"BenchmarkFloat": 400, "BenchmarkQuant": 250}
 
-	ratio, err := checkGate(rep, "BenchmarkFloat,BenchmarkQuant,1.3")
+	ratio, err := checkGate(nsPerOp, "BenchmarkFloat,BenchmarkQuant,1.3")
 	if err != nil {
 		t.Fatalf("gate should pass at 1.6x: %v", err)
 	}
@@ -54,14 +40,14 @@ func TestCheckGate(t *testing.T) {
 		t.Fatalf("ratio = %v, want 1.6", ratio)
 	}
 
-	if _, err := checkGate(rep, "BenchmarkFloat,BenchmarkQuant,2.0"); err == nil {
+	if _, err := checkGate(nsPerOp, "BenchmarkFloat,BenchmarkQuant,2.0"); err == nil {
 		t.Fatal("gate passed below the required speedup")
 	}
-	if _, err := checkGate(rep, "BenchmarkFloat,BenchmarkMissing,1.1"); err == nil {
+	if _, err := checkGate(nsPerOp, "BenchmarkFloat,BenchmarkMissing,1.1"); err == nil {
 		t.Fatal("gate passed with a missing benchmark")
 	}
 	for _, bad := range []string{"", "a,b", "a,b,c,d", "a,b,zero", "a,b,-1"} {
-		if _, err := checkGate(rep, bad); err == nil {
+		if _, err := checkGate(nsPerOp, bad); err == nil {
 			t.Fatalf("malformed spec %q accepted", bad)
 		}
 	}

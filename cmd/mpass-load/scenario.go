@@ -1,589 +1,313 @@
-// Scenario mode: a small JSON DSL that grows the single burst into a
-// phased, multi-tenant, mixed-traffic run with pass/fail thresholds — the
-// k6-style gate behind `make scenario-gate`. A scenario names its tenants
-// (and their API keys), then runs phases in order; each phase's traffic
-// streams run concurrently, and each stream is a client pool issuing a
-// deterministic mix of scan / cachemiss / attack / stream requests under
-// one tenant's key. After the last phase the run is judged against the
-// thresholds; any violation lists to stderr and the process exits
-// non-zero, which is what lets `make ci` fail on a fairness or latency
-// regression. Stdout carries one `go test -bench`-style line per run for
-// the existing benchjson path.
 package main
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
-	"os"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"mpass/internal/corpus"
-	"mpass/internal/parallel"
 )
 
-// scenarioFile is the on-disk DSL.
+// scenarioFile is the on-disk DSL: the fleet to boot, the phases to drive
+// against it, and the thresholds that judge the run.
 type scenarioFile struct {
-	Name     string            `json:"name"`
-	Seed     int64             `json:"seed"`
-	Samples  int               `json:"samples"`   // distinct samples in the shared pool
-	StreamMB int               `json:"stream_mb"` // body size for "stream" traffic (MiB)
-	Tenants  map[string]string `json:"tenants"`   // tenant name -> API key ("" key = unauthenticated)
-	Phases   []scenarioPhase   `json:"phases"`
-	// Thresholds judge the run. Only compliant (non-noisy) streams count
-	// toward p99/shed/error/correctness — the noisy tenant is *supposed* to
-	// be shed; the gate asserts everyone else keeps their SLO.
+	Name    string            `json:"name"`
+	Fleet   fleetSpec         `json:"fleet"`
+	Seed    int64             `json:"seed"`    // sample-pool seed (phases may override)
+	Samples int               `json:"samples"` // distinct samples per pool (phases may override)
+	Tenants map[string]string `json:"tenants"` // tenant name -> API key
+	Phases  []phaseSpec       `json:"phases"`
+	// Thresholds judge the whole run. Only compliant (non-noisy) streams
+	// count toward the traffic bounds — the noisy tenant is *supposed* to be
+	// shed; the gate asserts everyone else keeps their SLO.
 	Thresholds thresholds `json:"thresholds"`
 }
 
-type scenarioPhase struct {
-	Name    string          `json:"name"`
-	Streams []trafficStream `json:"streams"`
+// fleetSpec is what the runner boots. The runner sets every flag of the
+// gateway and the flags every replica shares (fleet.go); MpassdFlags adds
+// what sets one drill's replicas apart.
+type fleetSpec struct {
+	Replicas    int      `json:"replicas"` // mpassd processes (default 1)
+	Gateway     bool     `json:"gateway"`  // front them with mpass-gateway
+	MpassdFlags []string `json:"mpassd_flags"`
+}
+
+type phaseSpec struct {
+	Name string `json:"name"`
+	// Target is "gateway" or "replica:N"; the default is the gateway when
+	// the fleet has one, else replica:0.
+	Target  string `json:"target"`
+	Seed    int64  `json:"seed"`    // 0 keeps the scenario's
+	Samples int    `json:"samples"` // 0 keeps the scenario's
+	// Actions are one-key objects: {"reload": N} swaps the target's model
+	// generation N times, evenly spaced through the phase's requests;
+	// {"sighup": i} and {"sigkill": i} signal replica i before any traffic.
+	Actions []map[string]int `json:"actions"`
+	Streams []trafficStream  `json:"streams"`
+	// Thresholds judge this phase together with the phases after it that
+	// set none of their own, so traffic split across phases can share one
+	// window.
+	Thresholds thresholds `json:"thresholds"`
+
+	target  target   // resolved Target
+	actions []action // resolved Actions, in file order
+	pool    poolKey  // resolved Seed and Samples
 }
 
 type trafficStream struct {
-	Tenant   string             `json:"tenant"`
+	Tenant   string             `json:"tenant"` // "" sends no API key
 	Clients  int                `json:"clients"`
 	Requests int                `json:"requests"`
 	Noisy    bool               `json:"noisy"`   // expected to be shed; excluded from SLO stats
+	Expect   int                `json:"expect"`  // every response must carry this status (0: any)
 	Traffic  map[string]float64 `json:"traffic"` // kind -> weight; empty = all "scan"
 }
 
-// thresholds are all optional (nil = unchecked), so a scenario can gate on
+// thresholds are all optional (nil = unchecked), so a scenario gates on
 // exactly the properties it exercises.
 type thresholds struct {
-	MaxP99Ms         *float64 `json:"max_p99_ms"`
-	MaxShedRate      *float64 `json:"max_shed_rate"`
-	MaxErrorRate     *float64 `json:"max_error_rate"`
-	MinCorrectness   *float64 `json:"min_correctness"`
-	FairnessMaxDelta *float64 `json:"fairness_max_delta"`
+	MaxP99Ms          *float64 `json:"max_p99_ms"`
+	MaxShedRate       *float64 `json:"max_shed_rate"`
+	MaxErrorRate      *float64 `json:"max_error_rate"`
+	MinCorrectness    *float64 `json:"min_correctness"`
+	FairnessMaxDelta  *float64 `json:"fairness_max_delta"`
+	MaxAttackFailRate *float64 `json:"max_attack_fail_rate"` // attack jobs ending "failed"
+	// Shard affinity, on /metrics deltas: a floor on every replica's
+	// hits/(hits+misses), which also bounds fleet-wide misses at
+	// maxMissesPerSample per distinct sample.
+	MinHitRatio *float64 `json:"min_hit_ratio"`
+	// ScaleOut requires phase To's throughput to beat phase From's by the
+	// host-aware factor minScaleOut returns. Scenario level only.
+	ScaleOut *scaleOut `json:"scale_out"`
+}
+
+type scaleOut struct {
+	From string `json:"from"`
+	To   string `json:"to"`
+}
+
+// poolKey names a sample pool: its generator seed and its size.
+type poolKey struct {
+	seed    int64
+	samples int
+}
+
+// target names one process of the fleet.
+type target struct {
+	gateway bool
+	replica int
+}
+
+func (t target) String() string {
+	if t.gateway {
+		return "gateway"
+	}
+	return "replica:" + strconv.Itoa(t.replica)
+}
+
+type action struct {
+	kind string // "reload", "sighup" or "sigkill"
+	arg  int    // reload count, or the replica to signal
 }
 
 var trafficKinds = map[string]bool{"scan": true, "cachemiss": true, "attack": true, "stream": true}
 
-// parseScenario decodes and validates a scenario document.
+// runnerFlags are the mpassd flags the runner sets on every replica.
+var runnerFlags = map[string]bool{
+	"addr": true, "addr-file": true, "models": true,
+	"malware": true, "benign": true, "max-queries": true, "drain": true,
+}
+
+const maxReplicas = 16
+
+// parseScenario decodes and validates a scenario document. Unknown fields
+// are errors, so a misspelt threshold cannot silently go unchecked.
 func parseScenario(data []byte) (*scenarioFile, error) {
 	var sc scenarioFile
-	if err := json.Unmarshal(data, &sc); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
 		return nil, fmt.Errorf("decoding scenario: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("decoding scenario: trailing data after the document")
 	}
 	if sc.Name == "" {
 		return nil, fmt.Errorf("scenario has no name")
 	}
+	if err := sc.Fleet.validate(); err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
+	}
 	if len(sc.Phases) == 0 {
 		return nil, fmt.Errorf("scenario %q declares no phases", sc.Name)
 	}
-	if sc.Samples <= 0 {
+	if sc.Samples < 0 {
+		return nil, fmt.Errorf("scenario %q: samples must be >= 0", sc.Name)
+	}
+	if sc.Samples == 0 {
 		sc.Samples = 32
 	}
-	if sc.StreamMB <= 0 {
-		sc.StreamMB = 2
-	}
-	for pi, ph := range sc.Phases {
+	killed := make([]bool, sc.Fleet.Replicas)
+	names := map[string]bool{}
+	for pi := range sc.Phases {
+		ph := &sc.Phases[pi]
 		if ph.Name == "" {
 			return nil, fmt.Errorf("scenario %q: phase %d has no name", sc.Name, pi)
 		}
-		if len(ph.Streams) == 0 {
-			return nil, fmt.Errorf("scenario %q: phase %q has no streams", sc.Name, ph.Name)
+		if names[ph.Name] {
+			return nil, fmt.Errorf("scenario %q: duplicate phase name %q", sc.Name, ph.Name)
 		}
-		for si, st := range ph.Streams {
-			if st.Tenant == "" {
-				return nil, fmt.Errorf("phase %q stream %d names no tenant", ph.Name, si)
-			}
-			if _, ok := sc.Tenants[st.Tenant]; !ok {
-				return nil, fmt.Errorf("phase %q stream %d: tenant %q not in the scenario's tenants map", ph.Name, si, st.Tenant)
-			}
-			if st.Clients < 1 || st.Requests < 1 {
-				return nil, fmt.Errorf("phase %q stream %d: clients and requests must be >= 1", ph.Name, si)
-			}
-			for kind, w := range st.Traffic {
-				if !trafficKinds[kind] {
-					return nil, fmt.Errorf("phase %q stream %d: unknown traffic kind %q", ph.Name, si, kind)
-				}
-				if w < 0 {
-					return nil, fmt.Errorf("phase %q stream %d: negative weight for %q", ph.Name, si, kind)
-				}
-			}
+		names[ph.Name] = true
+		if err := sc.resolvePhase(ph, killed); err != nil {
+			return nil, fmt.Errorf("phase %q: %w", ph.Name, err)
+		}
+	}
+	if err := sc.Thresholds.validate(); err != nil {
+		return nil, fmt.Errorf("scenario %q thresholds: %w", sc.Name, err)
+	}
+	if so := sc.Thresholds.ScaleOut; so != nil {
+		if !names[so.From] || !names[so.To] || so.From == so.To {
+			return nil, fmt.Errorf("scenario %q: scale_out must name two different phases", sc.Name)
 		}
 	}
 	return &sc, nil
 }
 
-// streamStats is one traffic stream's outcome tally.
-type streamStats struct {
-	ok, shed, failed atomic.Int64
-	badRetryAfter    atomic.Int64 // 429s missing an integer Retry-After >= 1
-	audited          atomic.Int64 // scan responses checked for score consistency
-	incorrect        atomic.Int64 // scans whose scores disagreed with a prior response
-
-	mu  sync.Mutex
-	lat []time.Duration //mpass:guardedby mu — scan/cachemiss latencies
-}
-
-func (s *streamStats) observe(d time.Duration) {
-	s.mu.Lock()
-	s.lat = append(s.lat, d)
-	s.mu.Unlock()
-}
-
-func (s *streamStats) total() int64 { return s.ok.Load() + s.shed.Load() + s.failed.Load() }
-
-// scenarioRun holds the shared state one scenario execution accumulates.
-type scenarioRun struct {
-	base string
-	sc   *scenarioFile
-	pool [][]byte
-
-	// scores audits correctness: (sha256 | model_version) -> the score
-	// fingerprint first observed for it. Any later response disagreeing is
-	// a correctness failure — the serving tier returned different verdicts
-	// for identical bytes under the same model generation.
-	scores sync.Map
-
-	uniq atomic.Int64 // cache-miss body uniquifier
-}
-
-// runScenario executes the scenario at path against base and enforces its
-// thresholds, returning an error (non-zero exit) on any violation.
-func runScenario(base, path string, maxP99Override time.Duration) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
+func (f *fleetSpec) validate() error {
+	if f.Replicas == 0 {
+		f.Replicas = 1
 	}
-	sc, err := parseScenario(data)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+	if f.Replicas < 0 || f.Replicas > maxReplicas {
+		return fmt.Errorf("fleet replicas must be in [1, %d]", maxReplicas)
 	}
-	if maxP99Override > 0 {
-		ms := float64(maxP99Override) / 1e6
-		sc.Thresholds.MaxP99Ms = &ms
-	}
-
-	g := corpus.NewGenerator(sc.Seed + 31000)
-	run := &scenarioRun{base: base, sc: sc, pool: make([][]byte, sc.Samples)}
-	for i := range run.pool {
-		fam := corpus.Benign
-		if i%2 == 0 {
-			fam = corpus.Malware
-		}
-		run.pool[i] = g.Sample(fam).Raw
-	}
-
-	type streamResult struct {
-		phase  string
-		stream trafficStream
-		stats  *streamStats
-	}
-	var results []streamResult
-	start := time.Now()
-	for _, ph := range sc.Phases {
-		phaseStart := time.Now()
-		stats := make([]*streamStats, len(ph.Streams))
-		for i := range stats {
-			stats[i] = &streamStats{}
-		}
-		streams := ph.Streams
-		// Streams run concurrently — that is what makes a contention phase a
-		// contention phase — and each stream runs its own client pool.
-		parallel.ForEach(len(streams), len(streams), func(si int) {
-			st := streams[si]
-			key := sc.Tenants[st.Tenant]
-			parallel.ForEach(st.Clients, st.Requests, func(i int) {
-				kind := pickKind(st.Traffic, unitRand(sc.Seed, si, i))
-				run.issue(kind, key, si, i, stats[si])
-			})
-		})
-		for si, st := range streams {
-			s := stats[si]
-			tag := ""
-			if st.Noisy {
-				tag = " [noisy]"
-			}
-			fmt.Fprintf(os.Stderr, "phase %-12s %s%s: %d ok, %d shed, %d failed (%v)\n",
-				ph.Name, st.Tenant, tag, s.ok.Load(), s.shed.Load(), s.failed.Load(),
-				time.Since(phaseStart).Round(time.Millisecond))
-			results = append(results, streamResult{phase: ph.Name, stream: st, stats: s})
+	for _, a := range f.MpassdFlags {
+		name, _, _ := strings.Cut(strings.TrimLeft(a, "-"), "=")
+		if strings.HasPrefix(a, "-") && runnerFlags[name] {
+			return fmt.Errorf("flag %s is set by the runner", a)
 		}
 	}
-	elapsed := time.Since(start)
-
-	// Judge the run. Compliant-stream aggregates drive every threshold.
-	var lat []time.Duration
-	var okN, shedN, failN, auditedN, incorrectN, badRA int64
-	noisyPhases := map[string]bool{}
-	for _, r := range results {
-		badRA += r.stats.badRetryAfter.Load()
-		if r.stream.Noisy {
-			noisyPhases[r.phase] = true
-			continue
-		}
-		r.stats.mu.Lock()
-		lat = append(lat, r.stats.lat...)
-		r.stats.mu.Unlock()
-		okN += r.stats.ok.Load()
-		shedN += r.stats.shed.Load()
-		failN += r.stats.failed.Load()
-		auditedN += r.stats.audited.Load()
-		incorrectN += r.stats.incorrect.Load()
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	p99 := quantile(lat, 0.99)
-	total := okN + shedN + failN
-	shedRate, errRate, correctness := 0.0, 0.0, 1.0
-	if total > 0 {
-		shedRate = float64(shedN) / float64(total)
-		errRate = float64(failN) / float64(total)
-	}
-	if auditedN > 0 {
-		correctness = float64(auditedN-incorrectN) / float64(auditedN)
-	}
-
-	// Fairness: for each compliant tenant, how much does its shed rate
-	// degrade in phases where a noisy tenant is also running, versus phases
-	// without one? The bound is the per-tenant isolation contract.
-	fairnessDelta := 0.0
-	type rates struct{ shed, total int64 }
-	contended := map[string]*rates{}
-	baseline := map[string]*rates{}
-	for _, r := range results {
-		if r.stream.Noisy {
-			continue
-		}
-		m := baseline
-		if noisyPhases[r.phase] {
-			m = contended
-		}
-		rt := m[r.stream.Tenant]
-		if rt == nil {
-			rt = &rates{}
-			m[r.stream.Tenant] = rt
-		}
-		rt.shed += r.stats.shed.Load()
-		rt.total += r.stats.total()
-	}
-	for tenant, c := range contended {
-		b := baseline[tenant]
-		if b == nil || b.total == 0 || c.total == 0 {
-			continue
-		}
-		delta := float64(c.shed)/float64(c.total) - float64(b.shed)/float64(b.total)
-		if delta > fairnessDelta {
-			fairnessDelta = delta
-		}
-	}
-
-	rps := float64(total) / elapsed.Seconds()
-	fmt.Fprintf(os.Stderr,
-		"scenario %s: %d compliant requests in %v · %.0f req/s · p99 %v · shed %.3f · errors %.3f · correctness %.4f · fairness-delta %.3f\n",
-		sc.Name, total, elapsed.Round(time.Millisecond), rps,
-		p99.Round(time.Microsecond), shedRate, errRate, correctness, fairnessDelta)
-
-	nsPerOp := 0.0
-	if total > 0 {
-		nsPerOp = float64(elapsed.Nanoseconds()) / float64(total)
-	}
-	fmt.Printf("BenchmarkScenario%s %d %.0f ns/op %.1f req/s %d p99-ns %.4f shed-rate %.4f fairness-delta %.4f correctness\n",
-		camelName(sc.Name), total, nsPerOp, rps, p99.Nanoseconds(), shedRate, fairnessDelta, correctness)
-
-	var violations []string
-	t := sc.Thresholds
-	if badRA > 0 {
-		violations = append(violations, fmt.Sprintf("%d 429 responses lacked an integer Retry-After >= 1", badRA))
-	}
-	if t.MaxP99Ms != nil && float64(p99)/1e6 > *t.MaxP99Ms {
-		violations = append(violations, fmt.Sprintf("p99 %.1fms > max %.1fms", float64(p99)/1e6, *t.MaxP99Ms))
-	}
-	if t.MaxShedRate != nil && shedRate > *t.MaxShedRate {
-		violations = append(violations, fmt.Sprintf("compliant shed rate %.4f > max %.4f", shedRate, *t.MaxShedRate))
-	}
-	if t.MaxErrorRate != nil && errRate > *t.MaxErrorRate {
-		violations = append(violations, fmt.Sprintf("compliant error rate %.4f > max %.4f", errRate, *t.MaxErrorRate))
-	}
-	if t.MinCorrectness != nil && correctness < *t.MinCorrectness {
-		violations = append(violations, fmt.Sprintf("correctness %.4f < min %.4f (%d of %d scans disagreed)",
-			correctness, *t.MinCorrectness, incorrectN, auditedN))
-	}
-	if t.FairnessMaxDelta != nil && fairnessDelta > *t.FairnessMaxDelta {
-		violations = append(violations, fmt.Sprintf("fairness delta %.4f > max %.4f", fairnessDelta, *t.FairnessMaxDelta))
-	}
-	if total == 0 {
-		violations = append(violations, "no compliant traffic ran")
-	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "THRESHOLD VIOLATED: %s\n", v)
-		}
-		return fmt.Errorf("scenario %s failed %d threshold(s)", sc.Name, len(violations))
-	}
-	fmt.Fprintf(os.Stderr, "scenario %s: all thresholds met\n", sc.Name)
 	return nil
 }
 
-// issue performs one request of the given kind and tallies it.
-func (run *scenarioRun) issue(kind, key string, stream, i int, st *streamStats) {
-	switch kind {
-	case "scan":
-		run.doScan(run.pool[i%len(run.pool)], key, st, true)
-	case "cachemiss":
-		// A globally unique suffix defeats the score cache, forcing the full
-		// batcher path; the mutated body is still audited for consistency
-		// against any replica that later scores the same bytes.
-		body := append(append([]byte(nil), run.pool[i%len(run.pool)]...),
-			[]byte(fmt.Sprintf("::miss-%d", run.uniq.Add(1)))...)
-		run.doScan(body, key, st, true)
-	case "attack":
-		run.doAttack(run.pool[i%len(run.pool)], key, st)
-	case "stream":
-		run.doStream(key, int64(run.sc.StreamMB)<<20, int64(stream)<<32|int64(i), st)
+// resolvePhase checks one phase against the fleet, given which replicas
+// earlier phases killed, and fills in its resolved target and actions.
+func (sc *scenarioFile) resolvePhase(ph *phaseSpec, killed []bool) error {
+	t, err := sc.parseTarget(ph.Target)
+	if err != nil {
+		return err
 	}
+	ph.target = t
+	if ph.Samples < 0 {
+		return fmt.Errorf("samples must be >= 0")
+	}
+	ph.pool = poolKey{seed: sc.Seed, samples: sc.Samples}
+	if ph.Seed != 0 {
+		ph.pool.seed = ph.Seed
+	}
+	if ph.Samples != 0 {
+		ph.pool.samples = ph.Samples
+	}
+	requests := 0
+	if len(ph.Streams) == 0 {
+		return fmt.Errorf("no streams")
+	}
+	for si, st := range ph.Streams {
+		if _, ok := sc.Tenants[st.Tenant]; st.Tenant != "" && !ok {
+			return fmt.Errorf("stream %d: tenant %q not in the scenario's tenants map", si, st.Tenant)
+		}
+		if st.Clients < 1 || st.Requests < 1 {
+			return fmt.Errorf("stream %d: clients and requests must be >= 1", si)
+		}
+		if st.Expect != 0 && (st.Expect < 100 || st.Expect > 599) {
+			return fmt.Errorf("stream %d: expect %d is not an HTTP status", si, st.Expect)
+		}
+		for kind, w := range st.Traffic {
+			if !trafficKinds[kind] {
+				return fmt.Errorf("stream %d: unknown traffic kind %q", si, kind)
+			}
+			if w < 0 {
+				return fmt.Errorf("stream %d: negative weight for %q", si, kind)
+			}
+		}
+		requests += st.Requests
+	}
+	for _, a := range ph.Actions {
+		if len(a) != 1 {
+			return fmt.Errorf("an action is a one-key object, got %d keys", len(a))
+		}
+		for kind, arg := range a {
+			switch kind {
+			case "reload":
+				if t.gateway {
+					return fmt.Errorf("reload needs a replica target, not the gateway")
+				}
+				if arg < 1 || requests < arg+1 {
+					return fmt.Errorf("reload %d needs 1 <= N < the phase's %d requests", arg, requests)
+				}
+			case "sighup", "sigkill":
+				if arg < 0 || arg >= len(killed) {
+					return fmt.Errorf("%s: replica %d outside the %d-replica fleet", kind, arg, len(killed))
+				}
+				if killed[arg] {
+					return fmt.Errorf("%s: replica %d was already killed", kind, arg)
+				}
+				if kind == "sigkill" {
+					killed[arg] = true
+				}
+			default:
+				return fmt.Errorf("unknown action %q", kind)
+			}
+			ph.actions = append(ph.actions, action{kind: kind, arg: arg})
+		}
+	}
+	alive := 0
+	for _, k := range killed {
+		if !k {
+			alive++
+		}
+	}
+	if alive == 0 {
+		return fmt.Errorf("sigkill would leave no replica running")
+	}
+	if !t.gateway && killed[t.replica] {
+		return fmt.Errorf("target %s is killed", t)
+	}
+	if err := ph.Thresholds.validate(); err != nil {
+		return fmt.Errorf("thresholds: %w", err)
+	}
+	if ph.Thresholds.ScaleOut != nil {
+		return fmt.Errorf("scale_out is a scenario-level threshold")
+	}
+	return nil
 }
 
-// doScan POSTs one scan, audits the 200 response's scores for consistency,
-// and checks every 429 for a legal Retry-After.
-func (run *scenarioRun) doScan(body []byte, key string, st *streamStats, timed bool) {
-	t0 := time.Now()
-	req, err := http.NewRequest(http.MethodPost, run.base+"/v1/scan", bytes.NewReader(body))
-	if err != nil {
-		st.failed.Add(1)
-		return
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if key != "" {
-		req.Header.Set("X-API-Key", key)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		st.failed.Add(1)
-		return
-	}
-	defer resp.Body.Close()
+// parseTarget resolves a phase target against the fleet.
+func (sc *scenarioFile) parseTarget(s string) (target, error) {
 	switch {
-	case resp.StatusCode == http.StatusOK:
-		if timed {
-			st.observe(time.Since(t0))
+	case s == "" && sc.Fleet.Gateway, s == "gateway" && sc.Fleet.Gateway:
+		return target{gateway: true}, nil
+	case s == "":
+		return target{}, nil
+	case strings.HasPrefix(s, "replica:"):
+		i, err := strconv.Atoi(strings.TrimPrefix(s, "replica:"))
+		if err == nil && i >= 0 && i < sc.Fleet.Replicas {
+			return target{replica: i}, nil
 		}
-		st.ok.Add(1)
-		run.auditScan(resp.Body, body, st)
-	case resp.StatusCode == http.StatusTooManyRequests:
-		io.Copy(io.Discard, resp.Body)
-		st.shed.Add(1)
-		checkRetryAfter(resp, st)
-	default:
-		io.Copy(io.Discard, resp.Body)
-		st.failed.Add(1)
 	}
+	return target{}, fmt.Errorf("target %q names no process of the fleet", s)
 }
 
-// auditScan pins (sha256, model_version) -> scores: the first response
-// wins, and every later response for the same pair must agree exactly.
-func (run *scenarioRun) auditScan(r io.Reader, sent []byte, st *streamStats) {
-	var doc struct {
-		SHA256       string `json:"sha256"`
-		ModelVersion string `json:"model_version"`
-		Results      []struct {
-			Model string  `json:"model"`
-			Score float64 `json:"score"`
-		} `json:"results"`
-	}
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		// The 200 was already tallied in ok by doScan; tallying failed here
-		// too would double-count the request. An undecodable body is an
-		// audit failure — a response the server got wrong, not a second
-		// request.
-		st.audited.Add(1)
-		st.incorrect.Add(1)
-		return
-	}
-	sum := sha256.Sum256(sent)
-	if doc.SHA256 != hex.EncodeToString(sum[:]) {
-		// The server hashed different bytes than we sent.
-		st.incorrect.Add(1)
-		st.audited.Add(1)
-		return
-	}
-	var fp strings.Builder
-	for _, res := range doc.Results {
-		fmt.Fprintf(&fp, "%s=%x;", res.Model, res.Score)
-	}
-	keyStr := doc.SHA256 + "|" + doc.ModelVersion
-	st.audited.Add(1)
-	if prev, loaded := run.scores.LoadOrStore(keyStr, fp.String()); loaded && prev.(string) != fp.String() {
-		st.incorrect.Add(1)
-	}
-}
-
-// doAttack submits one attack job and polls it to a terminal state; a 429
-// at submission is a shed, a job stuck outside a terminal state a failure.
-func (run *scenarioRun) doAttack(body []byte, key string, st *streamStats) {
-	req, err := http.NewRequest(http.MethodPost, run.base+"/v1/attack", bytes.NewReader(body))
-	if err != nil {
-		st.failed.Add(1)
-		return
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if key != "" {
-		req.Header.Set("X-API-Key", key)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		st.failed.Add(1)
-		return
-	}
-	rbody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusTooManyRequests:
-		st.shed.Add(1)
-		checkRetryAfter(resp, st)
-		return
-	case http.StatusAccepted:
-	default:
-		st.failed.Add(1)
-		return
-	}
-	var acc struct {
-		Poll string `json:"poll"`
-	}
-	if err := json.Unmarshal(rbody, &acc); err != nil || acc.Poll == "" {
-		st.failed.Add(1)
-		return
-	}
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		presp, err := authedGet(run.base+acc.Poll, key)
-		if err != nil {
-			st.failed.Add(1)
-			return
-		}
-		var v struct {
-			State string `json:"state"`
-		}
-		err = json.NewDecoder(presp.Body).Decode(&v)
-		presp.Body.Close()
-		if err != nil {
-			st.failed.Add(1)
-			return
-		}
-		// Both terminal states count as ok: an attack that ran its budget
-		// and lost is a served request, not a serving failure.
-		if v.State == "done" || v.State == "failed" {
-			st.ok.Add(1)
-			return
-		}
-		if time.Now().After(deadline) {
-			st.failed.Add(1)
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// doStream POSTs one chunked upload of size bytes (unknown Content-Length,
-// so the replica must take the O(chunk) streaming path).
-func (run *scenarioRun) doStream(key string, size, seed int64, st *streamStats) {
-	req, err := http.NewRequest(http.MethodPost, run.base+"/v1/scan",
-		&patternBody{remaining: size, state: uint64(seed) | 1})
-	if err != nil {
-		st.failed.Add(1)
-		return
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if key != "" {
-		req.Header.Set("X-API-Key", key)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		st.failed.Add(1)
-		return
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		st.ok.Add(1)
-	case http.StatusTooManyRequests:
-		st.shed.Add(1)
-		checkRetryAfter(resp, st)
-	default:
-		st.failed.Add(1)
-	}
-}
-
-// checkRetryAfter enforces the shed contract: every 429 — quota or
-// capacity, replica or gateway — must carry an integer Retry-After >= 1.
-func checkRetryAfter(resp *http.Response, st *streamStats) {
-	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || secs < 1 {
-		st.badRetryAfter.Add(1)
-	}
-}
-
-// pickKind selects a traffic kind from the weighted mix. Kinds are walked
-// in a fixed order so the choice is a pure function of (weights, u).
-func pickKind(traffic map[string]float64, u float64) string {
-	if len(traffic) == 0 {
-		return "scan"
-	}
-	order := []string{"scan", "cachemiss", "attack", "stream"}
-	total := 0.0
-	for _, k := range order {
-		total += traffic[k]
-	}
-	if total <= 0 {
-		return "scan"
-	}
-	x := u * total
-	for _, k := range order {
-		if w := traffic[k]; w > 0 {
-			if x < w {
-				return k
-			}
-			x -= w
+func (t *thresholds) validate() error {
+	for name, v := range map[string]*float64{
+		"max_p99_ms": t.MaxP99Ms, "max_shed_rate": t.MaxShedRate,
+		"max_error_rate": t.MaxErrorRate, "min_correctness": t.MinCorrectness,
+		"fairness_max_delta": t.FairnessMaxDelta, "max_attack_fail_rate": t.MaxAttackFailRate,
+		"min_hit_ratio": t.MinHitRatio,
+	} {
+		if v != nil && *v < 0 {
+			return fmt.Errorf("%s must be >= 0", name)
 		}
 	}
-	return "scan"
-}
-
-// unitRand maps (seed, stream, i) to [0, 1) through a splitmix64 finalizer
-// — deterministic across runs, decorrelated across streams and requests.
-func unitRand(seed int64, stream, i int) float64 {
-	x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(stream)*0xBF58476D1CE4E5B9 + uint64(i)*0x94D049BB133111EB
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
-}
-
-// camelName renders a scenario name as a benchmark identifier:
-// "noisy-neighbor" -> "NoisyNeighbor".
-func camelName(name string) string {
-	var b strings.Builder
-	up := true
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z':
-			if up {
-				r -= 'a' - 'A'
-			}
-			b.WriteRune(r)
-			up = false
-		case r >= 'A' && r <= 'Z' || r >= '0' && r <= '9':
-			b.WriteRune(r)
-			up = false
-		default:
-			up = true
-		}
-	}
-	return b.String()
+	return nil
 }
