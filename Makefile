@@ -54,12 +54,12 @@ lint-bench:
 test:
 	$(GO) test ./...
 
-# race also repeats the batcher's parity test ten times: a flush scores its
-# engines on parallel workers, and repetition widens the interleavings the
-# detector sees.
+# race also repeats the batcher's parity and target-scoped flush tests ten
+# times: a flush scores its engines on parallel workers, and repetition
+# widens the interleavings the detector sees.
 race:
 	$(GO) test -race -count=1 $(PARALLEL_PKGS)
-	$(GO) test -race -count=10 -run '^TestBatcherParityWithDirectScore$$' ./internal/server
+	$(GO) test -race -count=10 -run '^(TestBatcherParityWithDirectScore|TestBatcherTargetScopedFlush)$$' ./internal/server
 
 race-all:
 	$(GO) test -race -count=1 ./...

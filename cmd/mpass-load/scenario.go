@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -110,8 +111,6 @@ type action struct {
 	kind string // "reload", "sighup" or "sigkill"
 	arg  int    // reload count, or the replica to signal
 }
-
-var trafficKinds = map[string]bool{"scan": true, "cachemiss": true, "attack": true, "stream": true}
 
 // runnerFlags are the mpassd flags the runner sets on every replica.
 var runnerFlags = map[string]bool{
@@ -223,12 +222,15 @@ func (sc *scenarioFile) resolvePhase(ph *phaseSpec, killed []bool) error {
 			return fmt.Errorf("stream %d: expect %d is not an HTTP status", si, st.Expect)
 		}
 		for kind, w := range st.Traffic {
-			if !trafficKinds[kind] {
+			if !slices.Contains(trafficOrder[:], kind) {
 				return fmt.Errorf("stream %d: unknown traffic kind %q", si, kind)
 			}
 			if w < 0 {
 				return fmt.Errorf("stream %d: negative weight for %q", si, kind)
 			}
+		}
+		if _, ok := kindCounts(st.Traffic, st.Requests); !ok {
+			return fmt.Errorf("stream %d: %d requests cannot give every weighted traffic kind one", si, st.Requests)
 		}
 		requests += st.Requests
 	}

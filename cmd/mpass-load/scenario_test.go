@@ -40,6 +40,62 @@ func TestCheckedInScenariosParse(t *testing.T) {
 	}
 }
 
+// TestEveryWeightedKindSends: every kind a checked-in stream gives a
+// positive weight sends at least one request, and the schedule covers the
+// stream exactly. A per-request random draw let noisy-neighbor's 2% stream
+// and attack weights send nothing at its seed.
+func TestEveryWeightedKindSends(t *testing.T) {
+	for name, data := range scenarioFiles(t) {
+		sc, err := parseScenario(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, ph := range sc.Phases {
+			for si, st := range ph.Streams {
+				kinds := schedule(st.Traffic, st.Requests)
+				sent := map[string]int{}
+				for _, k := range kinds {
+					sent[k]++
+				}
+				if len(kinds) != st.Requests {
+					t.Errorf("%s phase %s stream %d: %d kinds scheduled for %d requests", name, ph.Name, si, len(kinds), st.Requests)
+				}
+				for kind, w := range st.Traffic {
+					if w > 0 && sent[kind] < 1 {
+						t.Errorf("%s phase %s stream %d: weighted kind %q sends nothing", name, ph.Name, si, kind)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScheduleCountsAndSpread pins the counts of noisy-neighbor's baseline
+// mix and checks that a small kind is spread across the stream, not
+// bunched at one end.
+func TestScheduleCountsAndSpread(t *testing.T) {
+	kinds := schedule(map[string]float64{"scan": 0.93, "cachemiss": 0.05, "stream": 0.02}, 150)
+	var at []int
+	sent := map[string]int{}
+	for i, k := range kinds {
+		sent[k]++
+		if k == "stream" {
+			at = append(at, i)
+		}
+	}
+	if sent["scan"] != 139 || sent["cachemiss"] != 8 || sent["stream"] != 3 {
+		t.Fatalf("sent %v, want scan 139, cachemiss 8, stream 3", sent)
+	}
+	for j, i := range at {
+		if lo, hi := j*50, (j+1)*50; i < lo || i >= hi {
+			t.Fatalf("stream request %d at %d, want one in each third of the stream (%v)", j, i, at)
+		}
+	}
+	if got := schedule(nil, 3); got[0] != "scan" || got[2] != "scan" {
+		t.Fatalf("empty mix scheduled %v, want all scan", got)
+	}
+}
+
 // validScenario is a minimal accepted document that each malformed case
 // below breaks in exactly one place.
 const validScenario = `{
@@ -78,6 +134,8 @@ func TestParseScenarioRejects(t *testing.T) {
 		{"target killed", []string{`"name": "b", "target": "gateway"`, `"name": "b", "target": "replica:1"`}, "is killed"},
 		{"negative weight", []string{`{"scan": 1}`, `{"scan": -1}`}, "negative weight"},
 		{"unknown traffic kind", []string{`{"scan": 1}`, `{"scna": 1}`}, "unknown traffic kind"},
+		{"mix outnumbers requests", []string{`{"scan": 1}`, `{"scan": 1, "cachemiss": 1, "attack": 1, "stream": 1}`,
+			`"requests": 4`, `"requests": 3`}, "cannot give every weighted traffic kind"},
 		{"unknown tenant", []string{`"tenant": "acme"`, `"tenant": "globex"`}, "not in the scenario's tenants"},
 		{"zero clients", []string{`"clients": 1, "requests": 4`, `"clients": 0, "requests": 4`}, "must be >= 1"},
 		{"reload on the gateway", []string{`"target": "replica:1", `, ``}, "needs a replica target"},

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -169,6 +170,7 @@ func (r *runner) drive(ph *phaseSpec) ([]tally, int) {
 	parallel.ForEach(len(ph.Streams), len(ph.Streams), func(si int) {
 		st := ph.Streams[si]
 		key := r.sc.Tenants[st.Tenant]
+		kinds := schedule(st.Traffic, st.Requests)
 		parallel.ForEach(st.Clients, st.Requests, func(i int) {
 			// Reloads fire at evenly spaced points of the phase's request
 			// sequence: request k·interval for k = 1..reloads.
@@ -179,7 +181,7 @@ func (r *runner) drive(ph *phaseSpec) ([]tally, int) {
 			}
 			var d tally
 			body := pool[i%len(pool)]
-			switch pickKind(st.Traffic, unitRand(r.sc.Seed, si, i)) {
+			switch kinds[i] {
 			case "scan":
 				r.scan(base, key, body, st.Expect, &d)
 			case "cachemiss":
@@ -387,37 +389,59 @@ func (p *patternBody) Read(b []byte) (int, error) {
 	return n, nil
 }
 
-// pickKind selects a traffic kind from the weighted mix. Kinds are walked
-// in a fixed order so the choice is a pure function of (weights, u).
-func pickKind(traffic map[string]float64, u float64) string {
-	order := []string{"scan", "cachemiss", "attack", "stream"}
-	total := 0.0
-	for _, k := range order {
-		total += traffic[k]
-	}
-	if total <= 0 {
-		return "scan"
-	}
-	x := u * total
-	for _, k := range order {
-		if w := traffic[k]; w > 0 {
-			if x < w {
-				return k
-			}
-			x -= w
+// trafficOrder fixes the order kinds are counted and interleaved in, so a
+// stream's schedule is a pure function of its weights and request count.
+var trafficOrder = [...]string{"scan", "cachemiss", "attack", "stream"}
+
+// kindCounts returns how many of a stream's requests each kind of
+// trafficOrder sends. Each kind with a positive weight w sends a fixed
+// max(1, round(w/total · requests)), so a small weight still sends at
+// least one request whatever the seed; the heaviest kind sends the rest.
+// An empty mix is all "scan". ok is false when the stream has too few
+// requests to give every weighted kind its count.
+func kindCounts(traffic map[string]float64, requests int) (counts [len(trafficOrder)]int, ok bool) {
+	total, heaviest := 0.0, 0
+	for k, kind := range trafficOrder {
+		total += traffic[kind]
+		if traffic[kind] > traffic[trafficOrder[heaviest]] {
+			heaviest = k
 		}
 	}
-	return "scan"
+	if total <= 0 {
+		counts[0] = requests
+		return counts, true
+	}
+	rest := requests
+	for k, kind := range trafficOrder {
+		if w := traffic[kind]; w > 0 && k != heaviest {
+			counts[k] = max(1, int(math.Round(w/total*float64(requests))))
+			rest -= counts[k]
+		}
+	}
+	counts[heaviest] = rest
+	return counts, rest >= 1
 }
 
-// unitRand maps (seed, stream, i) to [0, 1) through a splitmix64 finalizer
-// — deterministic across runs, decorrelated across streams and requests.
-func unitRand(seed int64, stream, i int) float64 {
-	x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(stream)*0xBF58476D1CE4E5B9 + uint64(i)*0x94D049BB133111EB
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
+// schedule assigns a kind to each of a stream's requests: kindCounts'
+// counts, interleaved by smooth weighted round robin so each kind's
+// requests spread evenly across the stream instead of bunching.
+func schedule(traffic map[string]float64, requests int) []string {
+	counts, _ := kindCounts(traffic, requests)
+	kinds := make([]string, requests)
+	var credit [len(trafficOrder)]int
+	for i := range kinds {
+		best := -1
+		for k, c := range counts {
+			if c == 0 {
+				continue
+			}
+			credit[k] += c
+			if best < 0 || credit[k] > credit[best] {
+				best = k
+			}
+		}
+		credit[best] -= requests
+		kinds[i] = trafficOrder[best]
+	}
+	return kinds
 }

@@ -22,7 +22,7 @@ var boundedQueuePackages = []string{
 // serving-path channel is either a select-with-default (admission control
 // sheds with 429 when the queue is full) or a select bounded by ctx.Done
 // (admitted work applies backpressure but honors the caller's deadline,
-// the ScoreWait pattern). A bare `ch <- v` can block a request handler
+// the ScoreTarget pattern). A bare `ch <- v` can block a request handler
 // forever and turns a full queue into unbounded goroutine pileup instead
 // of explicit load shedding.
 var BoundedQueue = &Analyzer{

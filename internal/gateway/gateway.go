@@ -149,6 +149,9 @@ type Gateway struct {
 	draining atomic.Bool
 	started  time.Time
 	mux      *http.ServeMux
+
+	// scansRouted and attacksRouted pace the cluster's Retry-After hints.
+	scansRouted, attacksRouted server.DrainRate
 }
 
 // New validates cfg, builds the ring over the full fleet (replicas start

@@ -655,8 +655,8 @@ func TestGatewayRetryAfter(t *testing.T) {
 		{"steady state", 10 * time.Second, 1, 3, "7"},                 // 2 / 0.3 = 6.7 -> 7
 		{"above the ceiling clamps", 10 * time.Second, 1000, 1, "60"}, // 1001 / 0.1
 	} {
-		g := &Gateway{started: time.Now().Add(-tc.up)}
-		if got := g.retryAfter(tc.backlog, tc.completed); got != tc.want {
+		var g Gateway
+		if got := g.retryAfter(tc.backlog, tc.completed, tc.up.Seconds()); got != tc.want {
 			t.Errorf("%s: retryAfter(%d, %d) = %q, want %q", tc.name, tc.backlog, tc.completed, got, tc.want)
 		}
 	}

@@ -130,6 +130,7 @@ func mergeSnapshots(snaps []*server.MetricsSnapshot) server.MetricsSnapshot {
 		out.StreamedBytes += s.StreamedBytes
 		out.Batches += s.Batches
 		out.BatchedRaws += s.BatchedRaws
+		out.EngineScores += s.EngineScores
 		if s.MaxBatchSize > out.MaxBatchSize {
 			out.MaxBatchSize = s.MaxBatchSize
 		}

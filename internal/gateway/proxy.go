@@ -162,10 +162,11 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 }
 
 // retryAfter is the cluster-level form of the replica estimator: summed
-// backlog across healthy replicas divided by the observed cluster
-// completion rate — the same server.RetryAfterSecs, fleet-wide inputs.
-func (g *Gateway) retryAfter(backlog int, completed int64) string {
-	return strconv.Itoa(server.RetryAfterSecs(backlog, completed, time.Since(g.started).Seconds()))
+// backlog across healthy replicas divided by the recent cluster routing
+// rate — the same server.RetryAfterSecs, fleet-wide inputs. recent and
+// span are what server.DrainRate.Recent reports.
+func (g *Gateway) retryAfter(backlog int, recent int64, span float64) string {
+	return strconv.Itoa(server.RetryAfterSecs(backlog, recent, span))
 }
 
 // clusterBacklogs sums the probed queue depths across healthy replicas.
@@ -184,13 +185,15 @@ func (g *Gateway) clusterBacklogs() (scanQueue, jobsPending int) {
 // retryAfterScan derives the cluster scan-shed hint.
 func (g *Gateway) retryAfterScan() string {
 	backlog, _ := g.clusterBacklogs()
-	return g.retryAfter(backlog, g.metrics.ScansRouted.Load())
+	n, span := g.scansRouted.Recent(time.Now(), g.started)
+	return g.retryAfter(backlog, n, span)
 }
 
 // retryAfterAttack derives the cluster attack-shed hint.
 func (g *Gateway) retryAfterAttack() string {
 	_, backlog := g.clusterBacklogs()
-	return g.retryAfter(backlog, g.metrics.AttacksRouted.Load())
+	n, span := g.attacksRouted.Recent(time.Now(), g.started)
+	return g.retryAfter(backlog, n, span)
 }
 
 // retriable reports whether a forward error warrants the one retry on a
@@ -236,6 +239,7 @@ func (g *Gateway) handleScan(w http.ResponseWriter, r *http.Request) {
 	}
 	auth := authFrom(r)
 	g.metrics.ScansRouted.Add(1)
+	g.scansRouted.Add(time.Now(), 1)
 	resp, err := g.forward(ctx, g.replicas[primary], "/v1/scan", r.URL.RawQuery, p, auth)
 	if retriable(ctx, err) {
 		// The owner vanished mid-request: mark it down (the prober will
@@ -384,6 +388,7 @@ func (g *Gateway) handleAttack(w http.ResponseWriter, r *http.Request) {
 	}
 	rep := g.replicas[idx]
 	g.metrics.AttacksRouted.Add(1)
+	g.attacksRouted.Add(time.Now(), 1)
 	acc.ID = rep.name + "/" + acc.ID
 	acc.Poll = "/v1/jobs/" + acc.ID
 	writeJSON(w, http.StatusAccepted, acc)

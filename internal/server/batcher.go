@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"mpass/internal/engine"
 	"mpass/internal/parallel"
 )
 
@@ -17,7 +18,7 @@ import (
 // A single dispatcher goroutine alternates between collecting a batch and
 // flushing it. Collecting drains whatever is already queued without
 // blocking. A batch holding an interactive scan (Score) then flushes at
-// once; a batch of attack-oracle queries only (ScoreWait) keeps collecting
+// once; a batch of attack-oracle queries only (ScoreTarget) keeps collecting
 // until MaxBatch requests are in hand or Window has passed, and an
 // interactive arrival cuts that window short. While a flush is scoring, new
 // arrivals queue in the submission channel, which is what builds the next
@@ -26,9 +27,12 @@ import (
 // 429.
 //
 // A flush scores the set's engines concurrently, one worker per engine up
-// to GOMAXPROCS. Scores are bit-identical to calling Driver.Score per
-// sample: the dispatcher only regroups inputs, and the ScoreBatch
-// implementations carry the repo-wide batch-equals-single parity guarantee.
+// to GOMAXPROCS. An interactive scan needs every engine; an attack-oracle
+// query (ScoreTarget) needs only the engine under attack, so each engine is
+// handed just the requests that need it and an engine no request needs is
+// not called. Scores are bit-identical to calling Driver.Score per sample:
+// the dispatcher only regroups inputs, and the ScoreBatch implementations
+// carry the repo-wide batch-equals-single parity guarantee.
 type Batcher struct {
 	// src resolves the model set to score with; the dispatcher loads it once
 	// per flush, so every request coalesced into one batch is scored and
@@ -48,7 +52,8 @@ type Batcher struct {
 // scanOut is one request's result: per-engine scores and hard labels, in
 // set order, plus the model generation that produced them — response
 // rendering and cache filing key on the set that actually scored, never on
-// whatever is current by the time the result is consumed.
+// whatever is current by the time the result is consumed. A request scoped
+// to one engine gets only that engine's column filled.
 type scanOut struct {
 	Scores []float64
 	Labels []bool
@@ -56,8 +61,11 @@ type scanOut struct {
 }
 
 type scanReq struct {
-	raw    []byte
-	oracle bool         // submitted by ScoreWait: may wait out the window
+	raw []byte
+	// target names the one engine an oracle query needs, resolved in the
+	// generation the flush pins; "" is an interactive scan, which needs
+	// every engine.
+	target string
 	out    chan scanOut // buffered; the dispatcher never blocks on delivery
 }
 
@@ -66,6 +74,10 @@ var (
 	ErrOverloaded = errors.New("server: scan queue full")
 	ErrClosed     = errors.New("server: shutting down")
 )
+
+// errNoTarget rejects an oracle query that names no engine: an interactive
+// scan goes through Score, which sheds instead of waiting.
+var errNoTarget = errors.New("server: oracle query names no engine")
 
 // newBatcherSrc starts the dispatcher over a model-set source. maxBatch and
 // queue have sane minimums. window paces oracle-only batches; window <= 0
@@ -116,14 +128,19 @@ func (b *Batcher) Score(ctx context.Context, raw []byte) (scanOut, error) {
 	}
 }
 
-// ScoreWait is Score with backpressure instead of shedding: when the queue
-// is full it blocks until there is room (or ctx expires). Resident attack
-// jobs use it for their oracle queries — a job that has already been
-// admitted should slow down under load, not lose a query mid-attack. A batch
-// of these queries alone waits out the batch window, so oracle traffic
+// ScoreTarget is Score with backpressure instead of shedding, scoring only
+// the named engine, which must not be "" (errNoTarget): when the queue is
+// full it blocks until there is room (or ctx expires). Resident attack jobs
+// use it for their oracle queries — a job that has already been admitted should
+// slow down under load, not lose a query mid-attack, and a hard-label query
+// reads one engine's label, so it pays for that engine alone. A batch of
+// these queries alone waits out the batch window, so oracle traffic
 // coalesces and yields the CPU to interactive scans.
-func (b *Batcher) ScoreWait(ctx context.Context, raw []byte) (scanOut, error) {
-	req := &scanReq{raw: raw, oracle: true, out: make(chan scanOut, 1)}
+func (b *Batcher) ScoreTarget(ctx context.Context, raw []byte, target string) (scanOut, error) {
+	if target == "" {
+		return scanOut{}, errNoTarget
+	}
+	req := &scanReq{raw: raw, target: target, out: make(chan scanOut, 1)}
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
@@ -177,7 +194,7 @@ func (b *Batcher) loop() {
 // interactive scan is done. A batch of oracle queries only blocks for more
 // until window has passed, and an interactive arrival ends that wait.
 func (b *Batcher) collect(batch []*scanReq) []*scanReq {
-	interactive := !batch[0].oracle
+	interactive := batch[0].target == ""
 	var timer *time.Timer
 	for len(batch) < b.max {
 		var r *scanReq
@@ -202,24 +219,31 @@ func (b *Batcher) collect(batch []*scanReq) []*scanReq {
 			return batch
 		}
 		batch = append(batch, r)
-		interactive = interactive || !r.oracle
+		interactive = interactive || r.target == ""
 	}
 	return batch
 }
 
 // flush scores one coalesced batch and fans results back out.
 func (b *Batcher) flush(batch []*scanReq) {
-	if b.metrics != nil {
-		b.metrics.observeBatch(len(batch))
-	}
 	raws := make([][]byte, len(batch))
+	scoped := false
 	for i, r := range batch {
 		raws[i] = r.raw
+		scoped = scoped || r.target != ""
 	}
 	// One snapshot per flush: every request in this batch gets scores and
 	// labels from the same model generation.
 	set := b.src()
 	drivers := set.Drivers()
+	var cols []column
+	scored := len(batch) * len(drivers)
+	if scoped {
+		cols, scored = splitColumns(set, batch, raws)
+	}
+	if b.metrics != nil {
+		b.metrics.observeBatch(len(batch), scored)
+	}
 	outs := make([]scanOut, len(batch))
 	for i := range outs {
 		outs[i] = scanOut{
@@ -228,24 +252,81 @@ func (b *Batcher) flush(batch []*scanReq) {
 			set:    set,
 		}
 	}
-	// Engines score concurrently; each worker writes only column di of
-	// outs, and ForEach hands engines out in set order. A driver's label is
-	// score >= Threshold() by the Driver contract, so labels cost no second
-	// scoring pass.
-	parallel.ForEach(0, len(drivers), func(di int) {
-		d := drivers[di]
-		scores := d.ScoreBatch(raws)
-		thr := d.Threshold()
-		for i := range batch {
-			outs[i].Scores[di] = scores[i]
-			outs[i].Labels[di] = scores[i] >= thr
-		}
-	})
+	// Engines score concurrently; each worker writes only its engine's
+	// column of outs, and ForEach hands engines out in set order.
+	if scoped {
+		parallel.ForEach(0, len(cols), func(k int) {
+			c := cols[k]
+			scoreColumn(drivers[c.engine], c.engine, c.raws, c.rows, outs)
+		})
+	} else {
+		parallel.ForEach(0, len(drivers), func(di int) {
+			scoreColumn(drivers[di], di, raws, nil, outs)
+		})
+	}
 	for i, r := range batch {
 		// Each request's out channel is buffered (cap 1) and written exactly
 		// once, so this delivery can never block the dispatcher — even when
 		// the requester already gave up on its context.
 		//lint:ignore boundedqueue buffered cap-1 result channel, single write
 		r.out <- outs[i]
+	}
+}
+
+// column is one engine's share of a flush that holds engine-scoped
+// requests: the batch rows it scores and their bytes.
+type column struct {
+	engine int
+	rows   []int
+	raws   [][]byte
+}
+
+// splitColumns gives each engine of set the requests that need it — every
+// request without a target, plus those naming that engine — and reports
+// how many samples the flush scores summed over engines. Engines no request
+// needs are left out, and so is a request whose target the set no longer
+// holds: its result carries no score, and the caller's by-name lookup
+// against the set fails.
+func splitColumns(set *modelSet, batch []*scanReq, raws [][]byte) ([]column, int) {
+	byEngine := make([]column, set.Len())
+	scored := 0
+	add := func(di, i int) {
+		byEngine[di].rows = append(byEngine[di].rows, i)
+		byEngine[di].raws = append(byEngine[di].raws, raws[i])
+		scored++
+	}
+	for i, r := range batch {
+		if r.target == "" {
+			for di := range byEngine {
+				add(di, i)
+			}
+		} else if di, ok := set.Index(r.target); ok {
+			add(di, i)
+		}
+	}
+	cols := byEngine[:0]
+	for di, c := range byEngine {
+		if len(c.rows) > 0 {
+			c.engine = di
+			cols = append(cols, c)
+		}
+	}
+	return cols, scored
+}
+
+// scoreColumn scores raws on engine di, d, and writes column di of outs:
+// row rows[k] for raws[k], or row k when rows is nil. A driver's label is
+// score >= Threshold() by the Driver contract, so labels cost no second
+// scoring pass.
+func scoreColumn(d engine.Driver, di int, raws [][]byte, rows []int, outs []scanOut) {
+	scores := d.ScoreBatch(raws)
+	thr := d.Threshold()
+	for k := range raws {
+		i := k
+		if rows != nil {
+			i = rows[k]
+		}
+		outs[i].Scores[di] = scores[k]
+		outs[i].Labels[di] = scores[k] >= thr
 	}
 }

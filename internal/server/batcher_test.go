@@ -108,8 +108,10 @@ func randomRaws(seed int64, n, maxLen int) [][]byte {
 // TestBatcherParityWithDirectScore is the acceptance gate: scores and
 // labels served through the micro-batching path are bit-identical to direct
 // Driver.Score and Driver.Label calls on the same bytes. The set mixes real
-// conv engines with stubs, the callers mix interactive and oracle
-// submissions, and the engines of each flush score in parallel.
+// conv engines with stubs, the callers mix interactive scans with oracle
+// queries on each engine in turn, and the engines of each flush score in
+// parallel. An oracle query's result is checked on its target's column, the
+// only one it fills.
 func TestBatcherParityWithDirectScore(t *testing.T) {
 	dets := []engine.Driver{
 		convDriver(t, "MalConvA", 1),
@@ -128,11 +130,10 @@ func TestBatcherParityWithDirectScore(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			score := b.Score
+			out, err := b.Score(context.Background(), raws[i])
 			if i%3 == 0 {
-				score = b.ScoreWait
+				out, err = b.ScoreTarget(context.Background(), raws[i], dets[i%len(dets)].Name())
 			}
-			out, err := score(context.Background(), raws[i])
 			if err != nil {
 				t.Errorf("Score(%d): %v", i, err)
 				return
@@ -143,6 +144,9 @@ func TestBatcherParityWithDirectScore(t *testing.T) {
 	wg.Wait()
 	for i, raw := range raws {
 		for di, d := range dets {
+			if i%3 == 0 && di != i%len(dets) {
+				continue
+			}
 			want := d.Score(raw)
 			if got := outs[i].Scores[di]; got != want {
 				t.Fatalf("sample %d model %s: batched score %v != direct %v", i, d.Name(), got, want)
@@ -185,12 +189,12 @@ func TestBatcherOracleWaitsForWindow(t *testing.T) {
 
 	oracleDone := make(chan error, 1)
 	go func() {
-		_, err := b.ScoreWait(ctx, []byte("oracle query"))
+		_, err := b.ScoreTarget(ctx, []byte("oracle query"), "stub")
 		oracleDone <- err
 	}()
 	select {
 	case err := <-oracleDone:
-		t.Fatalf("lone ScoreWait returned (%v) inside an hour window", err)
+		t.Fatalf("lone ScoreTarget returned (%v) inside an hour window", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 	if got := m.Batches.Load(); got != 0 {
@@ -201,7 +205,7 @@ func TestBatcherOracleWaitsForWindow(t *testing.T) {
 		t.Fatalf("Score: %v", err)
 	}
 	if err := <-oracleDone; err != nil {
-		t.Fatalf("ScoreWait: %v", err)
+		t.Fatalf("ScoreTarget: %v", err)
 	}
 	if got := m.Batches.Load(); got != 1 {
 		t.Fatalf("Batches = %d, want 1", got)
@@ -216,9 +220,14 @@ func TestBatcherOracleWaitsForWindow(t *testing.T) {
 func TestBatcherZeroWindowLoneRequest(t *testing.T) {
 	b := testBatcher(t, 8, 16, 0, nil, &stubDriver{name: "stub", thr: 0.5})
 	defer b.Close()
-	for _, score := range []func(context.Context, []byte) (scanOut, error){b.Score, b.ScoreWait} {
+	for _, target := range []string{"", "stub"} {
 		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
-		_, err := score(ctx, []byte("lone"))
+		var err error
+		if target == "" {
+			_, err = b.Score(ctx, []byte("lone"))
+		} else {
+			_, err = b.ScoreTarget(ctx, []byte("lone"), target)
+		}
 		cancel()
 		if err != nil {
 			t.Fatalf("lone request with a zero window: %v", err)
@@ -356,12 +365,15 @@ func TestBatcherScoreAfterCloseAndCtxCancel(t *testing.T) {
 	if _, err := b.Score(context.Background(), []byte("x")); err != nil {
 		t.Fatalf("Score before close: %v", err)
 	}
+	if _, err := b.ScoreTarget(context.Background(), []byte("x"), ""); err != errNoTarget {
+		t.Fatalf("ScoreTarget naming no engine returned %v, want errNoTarget", err)
+	}
 	b.Close()
 	if _, err := b.Score(context.Background(), []byte("x")); err != ErrClosed {
 		t.Fatalf("Score after close returned %v, want ErrClosed", err)
 	}
-	if _, err := b.ScoreWait(context.Background(), []byte("x")); err != ErrClosed {
-		t.Fatalf("ScoreWait after close returned %v, want ErrClosed", err)
+	if _, err := b.ScoreTarget(context.Background(), []byte("x"), "stub"); err != ErrClosed {
+		t.Fatalf("ScoreTarget after close returned %v, want ErrClosed", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -369,13 +381,13 @@ func TestBatcherScoreAfterCloseAndCtxCancel(t *testing.T) {
 	b2 := testBatcher(t, 4, 8, time.Hour, nil, inner) // huge window
 	defer b2.Close()
 	go b2.Score(context.Background(), []byte("hold the window open"))
-	if _, err := b2.ScoreWait(ctx, []byte("y")); err != context.Canceled {
-		t.Fatalf("cancelled ScoreWait returned %v, want context.Canceled", err)
+	if _, err := b2.ScoreTarget(ctx, []byte("y"), "stub"); err != context.Canceled {
+		t.Fatalf("cancelled ScoreTarget returned %v, want context.Canceled", err)
 	}
 }
 
 // TestScoreWaitCancelledMidBackpressure pins the prompt-cancellation half
-// of the backpressure contract: a ScoreWait caller parked on a full queue
+// of the backpressure contract: a ScoreTarget caller parked on a full queue
 // (the position an attack job's oracle query occupies under load) must
 // observe its context's cancellation immediately, not after the queue
 // frees up.
@@ -409,12 +421,12 @@ func TestScoreWaitCancelledMidBackpressure(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// ScoreWait now blocks on the send; cancelling must release it while the
+	// ScoreTarget now blocks on the send; cancelling must release it while the
 	// queue is still full.
 	ctx, cancel := context.WithCancel(context.Background())
 	waitErr := make(chan error, 1)
 	go func() {
-		_, err := b.ScoreWait(ctx, []byte("third"))
+		_, err := b.ScoreTarget(ctx, []byte("third"), "stub")
 		waitErr <- err
 	}()
 	time.Sleep(5 * time.Millisecond) // let it reach the blocked send
@@ -422,10 +434,10 @@ func TestScoreWaitCancelledMidBackpressure(t *testing.T) {
 	select {
 	case err := <-waitErr:
 		if err != context.Canceled {
-			t.Fatalf("blocked ScoreWait returned %v, want context.Canceled", err)
+			t.Fatalf("blocked ScoreTarget returned %v, want context.Canceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("ScoreWait ignored cancellation while parked on a full queue")
+		t.Fatal("ScoreTarget ignored cancellation while parked on a full queue")
 	}
 
 	// Unwedge the dispatcher and confirm the legitimately queued work
@@ -438,5 +450,123 @@ func TestScoreWaitCancelledMidBackpressure(t *testing.T) {
 	}
 	if err := <-secondDone; err != nil {
 		t.Fatalf("second scan: %v", err)
+	}
+}
+
+// recordingDriver wraps a driver and records every sample it is asked to
+// score, so a test can see which engines a flush called with what.
+type recordingDriver struct {
+	engine.Driver
+	mu   sync.Mutex
+	seen map[string]int
+}
+
+func (r *recordingDriver) ScoreBatch(raws [][]byte) []float64 {
+	r.mu.Lock()
+	if r.seen == nil {
+		r.seen = map[string]int{}
+	}
+	for _, raw := range raws {
+		r.seen[string(raw)]++
+	}
+	r.mu.Unlock()
+	return r.Driver.ScoreBatch(raws)
+}
+
+func (r *recordingDriver) saw(raw []byte) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seen[string(raw)] > 0
+}
+
+// TestBatcherTargetScopedFlush forces one flush holding interactive scans
+// plus oracle queries for two different targets (and one for an engine the
+// set does not hold). Interactive results carry every engine's score and
+// oracle results their target's, all bit-identical to Driver.Score; an
+// engine that is not a query's target never receives its bytes, and
+// engine_scores counts one score per engine per sample actually scored.
+func TestBatcherTargetScopedFlush(t *testing.T) {
+	rec := []*recordingDriver{
+		{Driver: convDriver(t, "G", 1)},
+		{Driver: &stubDriver{name: "A", thr: 0.5}},
+		{Driver: convDriver(t, "B", 2)},
+		{Driver: &stubDriver{name: "C", thr: 0.3}},
+	}
+	gate := &gatedDriver{Driver: rec[0], entered: make(chan int, 4), release: make(chan struct{})}
+	var m Metrics
+	b := testBatcher(t, 32, 64, time.Hour, &m, gate, rec[1], rec[2], rec[3])
+	defer b.Close()
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := b.Score(context.Background(), []byte("first"))
+		first <- err
+	}()
+	<-gate.entered // flush #1 parks; the rest queue up behind it
+
+	raws := randomRaws(11, 6, 300)
+	targets := []string{"", "A", "B", "", "A", "gone"}
+	outs := make([]scanOut, len(raws))
+	var wg sync.WaitGroup
+	for i := range raws {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			if targets[i] == "" {
+				outs[i], err = b.Score(context.Background(), raws[i])
+			} else {
+				outs[i], err = b.ScoreTarget(context.Background(), raws[i], targets[i])
+			}
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
+		}(i)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for b.queued() < len(raws) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/%d requests queued", b.queued(), len(raws))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	gate.release <- struct{}{}
+	n := <-gate.entered
+	gate.release <- struct{}{} // release before checking, so a failure cannot wedge Close
+	if n != 2 {
+		t.Fatalf("G scored %d samples in flush #2, want the 2 interactive scans", n)
+	}
+	wg.Wait()
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+
+	for i, raw := range raws {
+		for di, r := range rec {
+			needs := targets[i] == "" || targets[i] == r.Name()
+			if got := r.saw(raw); got != needs {
+				t.Fatalf("request %d (target %q): engine %s received it = %v, want %v", i, targets[i], r.Name(), got, needs)
+			}
+			if !needs {
+				continue
+			}
+			if got, want := outs[i].Scores[di], r.Driver.Score(raw); got != want {
+				t.Fatalf("request %d engine %s: score %v != direct %v", i, r.Name(), got, want)
+			}
+			if got, want := outs[i].Labels[di], r.Driver.Label(raw); got != want {
+				t.Fatalf("request %d engine %s: label %v != direct %v", i, r.Name(), got, want)
+			}
+		}
+	}
+	if _, ok := outs[5].set.Index("gone"); ok {
+		t.Fatal("a target the set does not hold resolved")
+	}
+	if got := m.Batches.Load(); got != 2 {
+		t.Fatalf("Batches = %d, want 2", got)
+	}
+	// Flush #1: 1 scan × 4 engines. Flush #2: 2 scans × 4, plus one score
+	// per resident oracle target.
+	if got, want := m.EngineScores.Load(), int64(4+2*4+3); got != want {
+		t.Fatalf("EngineScores = %d, want %d", got, want)
 	}
 }

@@ -49,6 +49,7 @@ type job struct {
 	queries    int
 	rounds     int
 	ae         []byte
+	aeSHA256   string // hex digest of ae, computed once when the job finishes
 	aprPercent float64
 	functional *bool // sandbox verdict on successful AEs
 	errMsg     string
@@ -109,6 +110,7 @@ type jobRegistry struct {
 	maxJobs  int           // registry size cap (0 = unbounded)
 	grace    time.Duration // post-cancel wait during a forced shutdown
 
+	drained DrainRate // finished jobs per second, for the attack-shed hint
 	metrics *Metrics
 }
 
@@ -195,6 +197,7 @@ func (r *jobRegistry) submit(target, modelVersion, tenant string, run func(ctx c
 		}
 		h.setRunning()
 		run(ctx, h)
+		r.drained.Add(time.Now(), 1)
 	})
 	if err != nil {
 		r.mu.Lock()
@@ -209,14 +212,27 @@ func (r *jobRegistry) submit(target, modelVersion, tenant string, run func(ctx c
 }
 
 // view snapshots a job for the HTTP layer. TTL eviction also runs here so
-// retention is enforced on read-heavy, submit-quiet servers.
+// retention is enforced on read-heavy, submit-quiet servers. Only the copy
+// runs under the registry lock, which every job's submit, start and finish
+// contend on; the AE digest was taken at finish, and the base64 encoding of
+// an AE (immutable once recorded) happens after the lock is released.
 func (r *jobRegistry) view(id string, includeAE bool) (JobView, bool) {
+	v, ae, ok := r.snapshot(id)
+	if includeAE {
+		v.AEBase64 = base64.StdEncoding.EncodeToString(ae)
+	}
+	return v, ok
+}
+
+// snapshot copies a job's view under the registry lock, returning the AE
+// bytes of a successful job alongside.
+func (r *jobRegistry) snapshot(id string) (JobView, []byte, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.evictLocked(time.Now(), 0)
 	j, ok := r.jobs[id]
 	if !ok {
-		return JobView{}, false
+		return JobView{}, nil, false
 	}
 	v := JobView{
 		ID:           j.id,
@@ -229,6 +245,7 @@ func (r *jobRegistry) view(id string, includeAE bool) (JobView, bool) {
 	if j.finishedVersion != "" && j.finishedVersion != j.modelVersion {
 		v.ModelVersionAtFinish = j.finishedVersion
 	}
+	var ae []byte
 	if j.state == JobDone || j.state == JobFailed {
 		success, queries, rounds := j.success, j.queries, j.rounds
 		v.Success = &success
@@ -237,17 +254,14 @@ func (r *jobRegistry) view(id string, includeAE bool) (JobView, bool) {
 		v.Error = j.errMsg
 		v.ElapsedMs = float64(j.finished.Sub(j.started)) / 1e6
 		if j.success {
+			ae = j.ae
 			v.AESize = len(j.ae)
-			sum := sha256.Sum256(j.ae)
-			v.AESHA256 = hex.EncodeToString(sum[:])
+			v.AESHA256 = j.aeSHA256
 			v.APRPercent = j.aprPercent
 			v.Functional = j.functional
-			if includeAE {
-				v.AEBase64 = base64.StdEncoding.EncodeToString(j.ae)
-			}
 		}
 	}
-	return v, true
+	return v, ae, true
 }
 
 // shutdown bounds the drain: first a graceful wait for queued and running
@@ -299,10 +313,13 @@ func (h *jobHandle) setRunning() {
 // the job's oracle ended on (empty when unknown).
 func (h *jobHandle) finish(original []byte, res *core.Result, err error, modelVersion string) {
 	var functional *bool
+	var aeSHA256 string
 	if err == nil && res.Success {
 		if ok, serr := sandbox.BehaviourPreserved(original, res.AE); serr == nil {
 			functional = &ok
 		}
+		sum := sha256.Sum256(res.AE)
+		aeSHA256 = hex.EncodeToString(sum[:])
 	}
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		h.reg.metrics.JobsCancelled.Add(1)
@@ -323,6 +340,7 @@ func (h *jobHandle) finish(original []byte, res *core.Result, err error, modelVe
 		j.success = res.Success
 		if res.Success {
 			j.ae = res.AE
+			j.aeSHA256 = aeSHA256
 			j.aprPercent = 100 * float64(len(res.AE)-len(original)) / float64(len(original))
 			j.functional = functional
 		}

@@ -420,23 +420,21 @@ func TestOracleCircuitBreakerFailsJobFast(t *testing.T) {
 
 func TestRetryAfterDerivedFromThroughput(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	s.started = time.Now().Add(-10 * time.Second)
 
-	// 10 completions over ~10s -> ~1/s; backlog of 9 plus this request -> ~10s
-	// (the uptime clock keeps ticking, so the ceiling may land on 11).
-	if got := s.retryAfter(9, 10); got != "10" && got != "11" {
-		t.Fatalf("retryAfter(9, 10) = %q, want ~\"10\"", got)
+	// 10 completions over 10s -> 1/s; backlog of 9 plus this request -> 10s.
+	if got := s.retryAfter(9, 10, 10); got != "10" {
+		t.Fatalf("retryAfter(9, 10, 10) = %q, want \"10\"", got)
 	}
 	// Massive backlog clamps at 60.
-	if got := s.retryAfter(100_000, 10); got != "60" {
-		t.Fatalf("retryAfter(100000, 10) = %q, want \"60\"", got)
+	if got := s.retryAfter(100_000, 10, 10); got != "60" {
+		t.Fatalf("retryAfter(100000, 10, 10) = %q, want \"60\"", got)
 	}
 	// No history yet falls back to 1.
-	if got := s.retryAfter(5, 0); got != "1" {
-		t.Fatalf("retryAfter(5, 0) = %q, want \"1\"", got)
+	if got := s.retryAfter(5, 0, 0); got != "1" {
+		t.Fatalf("retryAfter(5, 0, 0) = %q, want \"1\"", got)
 	}
 	// Fast drains still answer at least 1.
-	if got := s.retryAfter(0, 1_000_000); got != "1" {
-		t.Fatalf("retryAfter(0, 1e6) = %q, want \"1\"", got)
+	if got := s.retryAfter(0, 1_000_000, 10); got != "1" {
+		t.Fatalf("retryAfter(0, 1e6, 10) = %q, want \"1\"", got)
 	}
 }

@@ -25,7 +25,8 @@ type Metrics struct {
 	ScansStreamed atomic.Int64 // scans served by the O(chunk) streaming path
 	StreamedBytes atomic.Int64 // total bytes fed through streaming scans
 	Batches       atomic.Int64 // dispatcher flushes
-	BatchedRaws   atomic.Int64 // samples scored across all flushes
+	BatchedRaws   atomic.Int64 // requests flushed across all flushes
+	EngineScores  atomic.Int64 // samples scored, summed over engines
 	MaxBatchSize  atomic.Int64 // largest coalesced batch observed
 	Coalesced     atomic.Int64 // flushes with more than one request
 
@@ -49,14 +50,22 @@ type Metrics struct {
 	TenantReloads         atomic.Int64 // successful allowlist reloads (SIGHUP or endpoint)
 
 	ScanLatency Histogram
+
+	// scansDrained counts flushed requests per second for the scan-shed
+	// Retry-After hint.
+	scansDrained DrainRate
 }
 
-// observeBatch records one dispatcher flush of n requests.
+// observeBatch records one dispatcher flush of n requests. scored is the
+// samples it scores summed over engines: a request needing every engine
+// counts once per engine, an oracle query scoped to its target once.
 //
 //mpass:zeroalloc
-func (m *Metrics) observeBatch(n int) {
+func (m *Metrics) observeBatch(n, scored int) {
 	m.Batches.Add(1)
 	m.BatchedRaws.Add(int64(n))
+	m.EngineScores.Add(int64(scored))
+	m.scansDrained.Add(time.Now(), int64(n))
 	if n > 1 {
 		m.Coalesced.Add(1)
 	}
@@ -147,6 +156,7 @@ type MetricsSnapshot struct {
 
 	Batches      int64   `json:"batches"`
 	BatchedRaws  int64   `json:"batched_raws"`
+	EngineScores int64   `json:"engine_scores"`
 	MaxBatchSize int64   `json:"max_batch_size"`
 	Coalesced    int64   `json:"coalesced_batches"`
 	MeanBatch    float64 `json:"mean_batch_size"`
@@ -197,6 +207,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		StreamedBytes:  m.StreamedBytes.Load(),
 		Batches:        m.Batches.Load(),
 		BatchedRaws:    m.BatchedRaws.Load(),
+		EngineScores:   m.EngineScores.Load(),
 		MaxBatchSize:   m.MaxBatchSize.Load(),
 		Coalesced:      m.Coalesced.Load(),
 		OracleQueries:  m.OracleQueries.Load(),

@@ -47,7 +47,7 @@ func (o *residentOracle) DetectedContext(ctx context.Context, raw []byte) (bool,
 	// out.set — the generation that actually scored — so a reload landing
 	// between this load and the batcher flush cannot mislabel.
 	ms := o.s.snap()
-	out, _, _, err := o.s.scan(qctx, ms, raw, true)
+	out, _, _, err := o.s.scan(qctx, ms, raw, o.name)
 	if err != nil {
 		return false, err
 	}

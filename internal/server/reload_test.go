@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -431,5 +432,63 @@ func TestReloadUnderLoadDrill(t *testing.T) {
 	v := pollTerminal(t, ts.URL+ar.Poll)
 	if v.State != JobDone {
 		t.Fatalf("attack job ended %s (%s), want done through the reloads", v.State, v.Error)
+	}
+}
+
+// TestReloadDroppingTargetFailsNextQuery: a running job whose target a
+// reload removes must fail its next oracle query with the "no longer
+// resident" error, not read some other engine's label.
+func TestReloadDroppingTargetFailsNextQuery(t *testing.T) {
+	setA := engineSet(t, &fakeEngine{name: "M", version: "vA", score: 0.25}, &fakeEngine{name: "N", version: "vA", score: 0.75})
+	setB := engineSet(t, &fakeEngine{name: "N", version: "vB", score: 0.75})
+
+	started := make(chan struct{})
+	gate := make(chan struct{})
+	attack := func(ctx context.Context, target detect.Detector, original []byte, oracle core.Oracle, seed int64) (*core.Result, error) {
+		if _, err := core.QueryOracle(ctx, oracle, original); err != nil {
+			return nil, err
+		}
+		close(started)
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if _, err := core.QueryOracle(ctx, oracle, append(original, 0x01)); err != nil {
+			return nil, err
+		}
+		return &core.Result{Success: true, AE: original, Queries: 2, Rounds: 1}, nil
+	}
+	_, ts := newTestServer(t, Config{
+		Attack:   attack,
+		Reload:   func(path string) (*engine.Set, error) { return setB, nil },
+		Registry: stubRegistry(t, setA.Drivers()...),
+		// One try per query and a breaker at the first exhausted one, so the
+		// query's own error reaches the job instead of failing closed.
+		OracleAttempts:   1,
+		OracleBreakAfter: 1,
+	})
+
+	resp, body := postBytes(t, ts.URL+"/v1/attack?target=M", []byte("victim"))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("attack: status %d (%s)", resp.StatusCode, body)
+	}
+	var ar attackResponse
+	if err := json.Unmarshal(body, &ar); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	resp, body = postBytes(t, ts.URL+"/v1/models/reload", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload: status %d (%s)", resp.StatusCode, body)
+	}
+	close(gate)
+
+	v := pollTerminal(t, ts.URL+ar.Poll)
+	if v.State != JobFailed {
+		t.Fatalf("job state %s, want failed", v.State)
+	}
+	if want := `target "M" no longer resident`; !strings.Contains(v.Error, want) {
+		t.Fatalf("job error %q, want one containing %q", v.Error, want)
 	}
 }

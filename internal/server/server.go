@@ -11,7 +11,8 @@
 //	                -> micro-batching dispatcher (Batcher) -> ScoreBatch
 //	POST /v1/attack -> admission (bounded job queue, 429 on overload)
 //	                -> parallel.Pool worker -> MPass attack whose oracle
-//	                   queries loop back through the cache + batcher
+//	                   queries loop back through the cache + batcher,
+//	                   scoring only the target engine
 //	GET  /v1/jobs/{id}, /healthz, /metrics
 //
 // Batched scores are bit-identical to single-sample Detector.Score calls;
@@ -27,9 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,10 +99,12 @@ type Config struct {
 	ProbeCorpus [][]byte
 
 	// Batching. An interactive scan flushes as soon as the queue is drained,
-	// and a flush scores its engines in parallel. BatchWindow paces only
-	// batches of attack-oracle queries: such a batch waits up to BatchWindow
-	// for more (default 2ms; negative flushes it once drained too), so oracle
-	// traffic coalesces and yields the CPU to scans. Holding lone scans for
+	// and a flush scores its engines in parallel. An attack-oracle query
+	// scores only its target engine, and that one-engine result is never
+	// filed in the score cache. BatchWindow paces only batches of
+	// attack-oracle queries: such a batch waits up to BatchWindow for more
+	// (default 2ms; negative flushes it once drained too), so oracle traffic
+	// coalesces and yields the CPU to scans. Holding lone scans for
 	// the window cost a cold scan ~2.5ms of its ~5.9ms median for batches
 	// averaging 1.2 requests (EXPERIMENTS.md).
 	MaxBatch    int           // max requests per coalesced batch (default 32)
@@ -328,22 +329,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // scan runs the cache -> batcher pipeline. The caller passes the one
 // generation snapshot it pinned for this request (snapshotonce): scan must
 // not re-load the registry, or the lookup and the response could straddle a
-// concurrent reload and mix generations. wait selects backpressure
-// (internal oracle traffic) over shedding (interactive requests).
-func (s *Server) scan(ctx context.Context, ms *modelSet, raw []byte, wait bool) (scanOut, [32]byte, bool, error) {
+// concurrent reload and mix generations. An empty target is an interactive
+// scan: every engine scores, and a full queue sheds. A named target is an
+// attack-oracle query: backpressure instead of shedding, and only that
+// engine scores, so its result is never filed in the cache.
+func (s *Server) scan(ctx context.Context, ms *modelSet, raw []byte, target string) (scanOut, [32]byte, bool, error) {
 	sum := sha256.Sum256(raw)
 	if out, ok := s.cache.get(scoreKey{version: ms.Version(), sum: sum}); ok {
 		s.metrics.CacheHits.Add(1)
 		return out, sum, true, nil
 	}
 	s.metrics.CacheMisses.Add(1)
-	var out scanOut
-	var err error
-	if wait {
-		out, err = s.batcher.ScoreWait(ctx, raw)
-	} else {
-		out, err = s.batcher.Score(ctx, raw)
+	if target != "" {
+		out, err := s.batcher.ScoreTarget(ctx, raw, target)
+		return out, sum, false, err
 	}
+	out, err := s.batcher.Score(ctx, raw)
 	if err != nil {
 		return scanOut{}, sum, false, err
 	}
@@ -409,7 +410,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	out, key, cached, err := s.scan(ctx, ms, raw, false)
+	out, key, cached, err := s.scan(ctx, ms, raw, "")
 	elapsed := time.Since(start)
 	s.metrics.ScanLatency.Observe(elapsed)
 	if grant != nil {
@@ -515,54 +516,6 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 		grant.CountAttack()
 	}
 	writeJSON(w, http.StatusAccepted, attackResponse{ID: id, Target: targetName, Poll: "/v1/jobs/" + id})
-}
-
-// retryAfter estimates how long a shed client should wait before retrying:
-// the current backlog divided by the observed completion rate, clamped to
-// [1, 60] seconds.
-func (s *Server) retryAfter(backlog int, completed int64) string {
-	return strconv.Itoa(RetryAfterSecs(backlog, completed, time.Since(s.started).Seconds()))
-}
-
-// RetryAfterSecs is the pure drain-rate estimator behind every Retry-After
-// hint, on a replica and on the gateway in front of a fleet. The cold-start guard comes first: before any completion has been
-// observed (or with a non-positive uptime, as on a clock step) there is no
-// rate to divide by, so the answer is the minimum legal hint of 1 rather
-// than a division by zero. The clamp then bounds the estimate to [1, 60],
-// which also absorbs a zero backlog (ceil(1/rate) can round to 1 but the
-// clamp makes the floor unconditional) and any float oddity the division
-// could produce.
-func RetryAfterSecs(backlog int, completed int64, upSeconds float64) int {
-	if upSeconds <= 0 || completed <= 0 {
-		return 1
-	}
-	rate := float64(completed) / upSeconds
-	return clampRetrySecs(math.Ceil(float64(backlog+1) / rate))
-}
-
-// clampRetrySecs bounds a raw estimate to the advertised [1, 60] window.
-// The lower comparison is written `!(secs >= 1)` so NaN — which fails every
-// comparison — lands on the safe floor instead of leaking into the header.
-func clampRetrySecs(secs float64) int {
-	if !(secs >= 1) {
-		return 1
-	}
-	if secs > 60 {
-		return 60
-	}
-	return int(secs)
-}
-
-// retryAfterScan derives the scan-shed hint from batcher throughput; scans
-// drain orders of magnitude faster than attack jobs, so the two sheds
-// advertise different waits.
-func (s *Server) retryAfterScan() string {
-	return s.retryAfter(len(s.batcher.reqs), s.metrics.BatchedRaws.Load())
-}
-
-// retryAfterAttack derives the attack-shed hint from job-pool throughput.
-func (s *Server) retryAfterAttack() string {
-	return s.retryAfter(s.jobs.pool.Pending(), int64(s.jobs.pool.Done()))
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -312,3 +312,56 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 		t.Fatal("New accepted a config with no engine registry")
 	}
 }
+
+// TestOracleQueryIsNeverCached: an oracle query scores only its target,
+// so a scan of the same bytes afterwards must miss the cache and report
+// every engine's score, bit-identical to Driver.Score.
+func TestOracleQueryIsNeverCached(t *testing.T) {
+	dets := []engine.Driver{
+		convDriver(t, "MalConvA", 1),
+		&stubDriver{name: "A", thr: 0.5},
+		convDriver(t, "MalConvB", 2),
+		&stubDriver{name: "B", thr: 0.2},
+	}
+	s, ts := newTestServer(t, Config{Registry: stubRegistry(t, dets...)})
+	raw := []byte("queried by an attack job first")
+
+	oracle := &residentOracle{s: s, name: "MalConvB"}
+	det, err := oracle.DetectedContext(context.Background(), raw)
+	if err != nil {
+		t.Fatalf("oracle query: %v", err)
+	}
+	if want := dets[2].Label(raw); det != want {
+		t.Fatalf("oracle label %v, want %v", det, want)
+	}
+
+	resp, body := postBytes(t, ts.URL+"/v1/scan", raw)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("scan status %d: %s", resp.StatusCode, body)
+	}
+	var sr scanResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Cached {
+		t.Fatal("scan after an oracle query was served from the cache")
+	}
+	if len(sr.Results) != len(dets) {
+		t.Fatalf("%d results, want %d", len(sr.Results), len(dets))
+	}
+	for i, d := range dets {
+		if got, want := sr.Results[i].Score, d.Score(raw); got != want {
+			t.Fatalf("engine %s: score %v != direct %v", d.Name(), got, want)
+		}
+		if got, want := sr.Results[i].Malicious, d.Label(raw); got != want {
+			t.Fatalf("engine %s: label %v != direct %v", d.Name(), got, want)
+		}
+	}
+	m := s.Metrics()
+	if m.CacheMisses.Load() != 2 || m.CacheHits.Load() != 0 {
+		t.Fatalf("cache hits/misses = %d/%d, want 0/2", m.CacheHits.Load(), m.CacheMisses.Load())
+	}
+	if got, want := m.EngineScores.Load(), int64(1+len(dets)); got != want {
+		t.Fatalf("EngineScores = %d, want %d (one for the oracle query, one per engine for the scan)", got, want)
+	}
+}
